@@ -42,11 +42,33 @@ UNGATED_SUBSTRINGS = ("/n100000/", "/shards", "/workers")
 MIN_NORMALIZATION_MATCHES = 3
 
 
-def load_entries(path):
-    """name -> (metric, value); google-benchmark aggregates are skipped."""
+class DuplicateName(Exception):
+    pass
+
+
+def add_entry(entries, origin, name, value, path):
+    """entries[name] = value, refusing a name already loaded from any file:
+    a silent last-one-wins would gate against whichever copy came last."""
+    if name in entries:
+        raise DuplicateName(f"{name} (in {origin[name]} and {path})")
+    entries[name] = value
+    origin[name] = path
+
+
+def load_entries(paths):
+    """name -> (metric, value) over all `paths`; google-benchmark aggregates
+    are skipped. Raises DuplicateName when a name appears twice, within one
+    file or across files."""
+    entries = {}
+    origin = {}
+    for path in paths:
+        load_file(path, entries, origin)
+    return entries
+
+
+def load_file(path, entries, origin):
     with open(path) as f:
         data = json.load(f)
-    entries = {}
     for bench in data.get("benchmarks", []):
         if bench.get("run_type", "iteration") == "aggregate":
             continue
@@ -54,7 +76,8 @@ def load_entries(path):
             continue
         for metric in METRICS:
             if metric in bench:
-                entries[bench["name"]] = (metric, float(bench[metric]))
+                add_entry(entries, origin, bench["name"],
+                          (metric, float(bench[metric])), path)
                 break
     # bench_verify format: one model-checking instance with frontier
     # wall-clock per worker count. Only the serial run is gated — multi-worker
@@ -67,8 +90,8 @@ def load_entries(path):
             name = f"verify/{data['instance']}/{suffix}"
             if any(s in name for s in UNGATED_SUBSTRINGS):
                 continue
-            entries[name] = ("seconds", float(run["seconds"]))
-    return entries
+            add_entry(entries, origin, name, ("seconds", float(run["seconds"])),
+                      path)
 
 
 def main():
@@ -86,10 +109,14 @@ def main():
                          "baseline refresh lands")
     args = ap.parse_args()
 
-    baseline = load_entries(args.baseline)
-    current = {}
-    for path in args.current:
-        current.update(load_entries(path))
+    try:
+        baseline = load_entries([args.baseline])
+        current = load_entries(args.current)
+    except DuplicateName as e:
+        print(f"FAIL: duplicate benchmark name {e}; every gated name must be "
+              "unique across the baseline and across the current files "
+              "(rename it where the bench produces it)")
+        return 1
 
     missing = sorted(set(baseline) - set(current))
     if missing:

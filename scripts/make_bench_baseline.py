@@ -27,6 +27,7 @@ UNGATED_SUBSTRINGS = ("/n100000/", "/shards")
 def main():
     build = sys.argv[1] if len(sys.argv) > 1 else "build"
     out = []
+    origin = {}
     for path in (f"{build}/BENCH_sim.json", f"{build}/BENCH_scale.json"):
         with open(path) as f:
             data = json.load(f)
@@ -37,7 +38,15 @@ def main():
                 continue
             for metric in METRICS:
                 if metric in bench:
-                    out.append({"name": bench["name"],
+                    name = bench["name"]
+                    if name in origin:
+                        # The gate could only ever compare against one copy.
+                        print(f"error: duplicate benchmark name {name} (in "
+                              f"{origin[name]} and {path}); rename it where "
+                              "the bench produces it", file=sys.stderr)
+                        return 1
+                    origin[name] = path
+                    out.append({"name": name,
                                 metric: round(float(bench[metric]), 3)})
                     break
     with open("bench/BENCH_baseline.json", "w") as f:

@@ -1,6 +1,5 @@
 #include "compile/compiler.h"
 
-#include <optional>
 #include <typeinfo>
 
 #include "elastic/buffer.h"
@@ -135,72 +134,49 @@ FuncKind specializeFunc(const Node& node, const Op& op,
   return FuncKind::kOpaque;
 }
 
-/// Plans the op's node-state arena record: how many u64 words it needs, with
-/// the per-kind constants the VM reads every evaluation stashed in fnA/fnB
-/// (one op load instead of a node-object load). Returns nullopt when the
-/// state does not fit the word arena (payloads wider than 64 bits, forks
-/// wider than 64 branches) — the caller downgrades to kGeneric, keeping the
-/// virtual (interpreter) path, which handles arbitrary widths.
-///
-/// 0 words means the op is specialized but keeps its state on the node:
-/// kFunc/kShared sequential "state" is a memo or a polymorphic scheduler
-/// (virtual predict/observe — pointer-chasing is inherent), and kGeneric
-/// state is whatever the subclass holds.
-std::optional<std::uint32_t> planStateWords(Op& op,
-                                            const std::vector<SlotAddr>& ports) {
+/// Stashes the per-kind constants the VM reads every evaluation in fnA/fnB
+/// (one op load instead of a node-object load). Returns false when the VM's
+/// op cannot address the node's arena record: the ops assume one word per
+/// payload and one done-mask word per fork, so payloads wider than 64 bits
+/// and forks wider than 64 branches keep the virtual (interpreter) path,
+/// which reads the same record through the context at any width.
+bool bindKindConstants(Op& op, const std::vector<SlotAddr>& ports) {
   const SlotAddr* P = ports.data() + op.portBase;
   switch (op.code) {
     case OpCode::kEb: {
       const auto& eb = *static_cast<const ElasticBuffer*>(op.obj);
-      if (P[1].width > 64) return std::nullopt;
       op.fnA = eb.capacity();
       op.fnB = eb.antiCapacity();
-      // head|count, antiTokens, then one payload word per ring slot.
-      return 2 + static_cast<std::uint32_t>(eb.capacity());
+      return P[1].width <= 64;
     }
     case OpCode::kEb0:
     case OpCode::kBrokenEb:
-      // has|stopReg flags word + payload word.
-      return P[1].width > 64 ? std::nullopt : std::make_optional(2u);
+      return P[1].width <= 64;
     case OpCode::kFork:
-      // done_ bits as one mask word.
-      return op.nOut > 64 ? std::nullopt : std::make_optional(1u);
-    case OpCode::kEeMux:
-      // One pendingAnti_ counter word per data input (payload routing goes
-      // through copyData, which handles wide channels).
-      return static_cast<std::uint32_t>(op.nIn - 1);
-    case OpCode::kSource:
-      return 2u;  // index; offering|killCredit
-    case OpCode::kSink:
-      return 1u;  // antiActive|antiRemaining
+      return op.nOut <= 64;
     case OpCode::kNondetSource: {
       const auto& ns = *static_cast<const NondetSource*>(op.obj);
-      if (P[0].width > 64) return std::nullopt;
       op.fnA = ns.killCreditCap();
       op.fnB = ns.maxIdle();
-      return 3u;  // offering; value; killCredit|idleStreak
+      return P[0].width <= 64;
     }
     case OpCode::kNondetSink: {
       const auto& nk = *static_cast<const NondetSink*>(op.obj);
       op.fnA = nk.maxConsecutiveStops();
       op.fnB = nk.emitsAntiTokens() ? 1 : 0;
-      return 1u;  // antiActive|consecutiveStops
+      return true;
     }
     case OpCode::kVlu:
-      // pending/result flags + pending word + result word.
-      return P[0].width > 64 || P[1].width > 64 ? std::nullopt
-                                                : std::make_optional(3u);
-    case OpCode::kFunc:
-    case OpCode::kShared:
-    case OpCode::kGeneric:
-      return 0u;
+      return P[0].width <= 64 && P[1].width <= 64;
+    default:
+      return true;
   }
-  return 0u;
 }
 
 }  // namespace
 
 Program compileProgram(Netlist& nl, const SignalBoard& board,
+                       const std::vector<std::uint32_t>& stateOff,
                        const ShardPlan* plan) {
   Program prog;
   prog.topologyVersion = nl.topologyVersion();
@@ -209,12 +185,11 @@ Program compileProgram(Netlist& nl, const SignalBoard& board,
   const std::vector<NodeId> ids = nl.nodeIds();
   prog.ops.reserve(ids.size());
   const bool sharded = plan != nullptr && plan->shards > 1;
-  unsigned prevShard = ~0u;
   for (const NodeId id : ids) {
     Node& node = nl.node(id);
     Op op;
     op.node = &node;
-    op.nodeId = id;
+    op.stateOff = stateOff[id];
     op.nIn = static_cast<std::uint16_t>(node.numInputs());
     op.nOut = static_cast<std::uint16_t>(node.numOutputs());
     op.portBase = static_cast<std::uint32_t>(prog.ports.size());
@@ -241,22 +216,10 @@ Program compileProgram(Netlist& nl, const SignalBoard& board,
                                                     : OpCode::kGeneric;
     if (op.code == OpCode::kFunc)
       op.fnKind = specializeFunc(node, op, prog.ports, &op.fnA, &op.fnB);
-    const std::optional<std::uint32_t> words = planStateWords(op, prog.ports);
-    if (!words) {
-      // State too wide for the word arena: virtual path handles any width.
+    if (!bindKindConstants(op, prog.ports)) {
       op.code = OpCode::kGeneric;
       op.obj = nullptr;
       op.fnA = op.fnB = 0;
-    } else if (*words > 0) {
-      if (sharded) {
-        // Cache-line-align each shard's first record so concurrent shard
-        // workers never false-share a state record across the slice border.
-        const unsigned s = plan->nodeShard[id];
-        if (s != prevShard) prog.stateWords = (prog.stateWords + 7) & ~7u;
-        prevShard = s;
-      }
-      op.stateOff = prog.stateWords;
-      prog.stateWords += *words;
     }
     prog.opOf[id] = static_cast<std::uint32_t>(prog.ops.size());
     prog.ops.push_back(op);

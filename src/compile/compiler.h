@@ -2,12 +2,16 @@
 //
 // compileProgram() lowers a netlist once into a flat program of per-node ops:
 // each op carries the node's kind (resolved to a specialized opcode by exact
-// type), a concrete object pointer (the downcast done at compile time), an
-// offset into the VM's node-state arena, and a table of port addresses
-// resolved against the board's current layout. The VM (src/compile/vm.h) then
-// executes settle rounds and clock edges with raw word loads/stores: no
-// virtual dispatch, no Sig accessor proxies, no slot lookups — and no
-// pointer-chasing into node objects — on the hot path.
+// type), a concrete object pointer (the downcast done at compile time), the
+// offset of the node's record in the SimContext's node-state arena, and a
+// table of port addresses resolved against the board's current layout. The
+// VM (src/compile/vm.h) then executes settle rounds and clock edges with raw
+// word loads/stores: no virtual dispatch, no Sig accessor proxies, no slot
+// lookups — and no pointer-chasing into node objects — on the hot path.
+//
+// The compiler decides no record sizes or offsets: each node kind declares
+// its record (Node::stateWords() and the kind's field layout) and the
+// context lays the arena out; the program only copies each node's offset.
 //
 // The op and port records are deliberately flat and small (SlotAddr is 12
 // bytes; derived coordinates are shifts off the slot index) so one settle
@@ -15,9 +19,9 @@
 // lines instead of touching 5–8 scattered heap objects per active node.
 //
 // Nodes whose exact type is not in the catalog (user subclasses), nodes with
-// unbound ports, nodes whose state does not fit the word arena (payloads
-// wider than 64 bits, forks with more than 64 branches), and — under
-// sharding — nodes touching a boundary slot compile to OpCode::kGeneric,
+// unbound ports, nodes whose record the ops cannot address word-per-payload
+// (payloads wider than 64 bits, forks with more than 64 branches), and —
+// under sharding — nodes touching a boundary slot compile to OpCode::kGeneric,
 // which falls back to the virtual evalComb/clockEdge through the staging-
 // aware Sig accessors: the program is always total over the netlist.
 //
@@ -89,9 +93,9 @@ enum class FuncKind : std::uint8_t {
 
 /// One node lowered to an op. Ports live in Program::ports at [portBase,
 /// portBase + nIn + nOut): inputs first, then outputs. Sequential state lives
-/// in the VM's arena at stateOff (kNoState: the op keeps its state on the
-/// node object — kFunc/kShared, whose "state" is memos/a polymorphic
-/// scheduler — or is kGeneric).
+/// in the context's node-state arena at stateOff (kNoState: the node keeps
+/// no arena record — kFunc/kShared, whose "state" is memos/a polymorphic
+/// scheduler, and user subclasses).
 struct Op {
   static constexpr std::uint32_t kNoState = ~std::uint32_t{0};
 
@@ -100,8 +104,7 @@ struct Op {
   std::uint16_t nIn = 0;
   std::uint16_t nOut = 0;
   std::uint32_t portBase = 0;
-  std::uint32_t stateOff = kNoState;  ///< arena word offset (VM assigns)
-  NodeId nodeId = 0;                  ///< owning node (arena flush liveness)
+  std::uint32_t stateOff = kNoState;  ///< node-state arena word offset
   std::uint64_t fnA = 0;  ///< kFunc: addk constant / permille threshold;
                           ///< kEb: capacity; kNondetSource: killCredit cap;
                           ///< kNondetSink: max consecutive stops
@@ -117,16 +120,16 @@ struct Program {
   std::vector<Op> ops;                ///< live nodes, insertion order
   std::vector<std::uint32_t> opOf;    ///< NodeId -> ops index (kNoOp = dead id)
   std::vector<SlotAddr> ports;
-  std::uint32_t stateWords = 0;       ///< node-state arena size (u64 words)
   std::uint64_t topologyVersion = 0;  ///< netlist version compiled against
   std::uint64_t boardLayout = 0;      ///< board layoutGeneration compiled against
 };
 
-/// Lowers the netlist against the board's current layout. With a shard plan
-/// (shards > 1) nodes touching boundary slots stay generic, and each shard's
-/// arena slice starts cache-line-aligned so shard workers never false-share a
-/// state record.
+/// Lowers the netlist against the board's current layout. `stateOff` maps
+/// each NodeId to its node-state arena record (SimContext's layout, made with
+/// the same board layout). With a shard plan (shards > 1) nodes touching
+/// boundary slots stay generic.
 Program compileProgram(Netlist& nl, const SignalBoard& board,
+                       const std::vector<std::uint32_t>& stateOff,
                        const ShardPlan* plan = nullptr);
 
 }  // namespace esl::compile

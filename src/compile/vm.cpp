@@ -19,39 +19,6 @@ constexpr unsigned kVf = SignalBoard::kVf;
 constexpr unsigned kSf = SignalBoard::kSf;
 constexpr unsigned kVb = SignalBoard::kVb;
 constexpr unsigned kSb = SignalBoard::kSb;
-
-std::uint32_t lo32(std::uint64_t v) { return static_cast<std::uint32_t>(v); }
-std::uint32_t hi32(std::uint64_t v) {
-  return static_cast<std::uint32_t>(v >> 32);
-}
-std::uint64_t pack32(std::uint32_t lo, std::uint32_t hi) {
-  return static_cast<std::uint64_t>(lo) | (static_cast<std::uint64_t>(hi) << 32);
-}
-
-/// Node payload -> arena word. The compiler only assigns a state record when
-/// every payload the record must carry fits one word, so a width mismatch
-/// here means the node holds a token that disagrees with its channel width —
-/// unrepresentable in the arena (and unreachable through pushes from the
-/// bound channel or unpackState of a matching netlist).
-std::uint64_t packWord(const BitVec& v, std::uint32_t width) {
-  ESL_CHECK(v.width() == width,
-            "state arena: stored payload width disagrees with the channel");
-  return width == 0 ? 0 : v.word0();
-}
-
-/// Arena word -> optional node payload (flush side of kEb0/kBrokenEb/kVlu).
-void storeOpt(std::optional<BitVec>& dst, bool has, std::uint32_t width,
-              std::uint64_t word) {
-  if (!has) {
-    dst.reset();
-  } else if (width == 0) {
-    if (!dst || dst->width() != 0) dst = BitVec(0);
-  } else if (dst && dst->width() == width) {
-    dst->assignNarrow(width, word);  // reuse the slot's storage
-  } else {
-    dst = BitVec(width, word);
-  }
-}
 }  // namespace
 
 // --- lifecycle ---------------------------------------------------------------
@@ -62,17 +29,14 @@ void Vm::ensureProgram() {
   // every board re-layout — including shard-count changes, which permute
   // slots WITHOUT a topology bump. Reusing a program across either would
   // store through stale raw offsets.
+  // The context lays out the node-state arena together with the board, so
+  // the same key covers the record offsets.
   if (hasProgram_ && prog_.topologyVersion == ctx_.netlist_.topologyVersion() &&
       prog_.boardLayout == ctx_.board_.layoutGeneration())
     return;
-  // The old arena may be the authoritative copy of node state: publish it
-  // through the OLD offsets into every node that survived the change before
-  // the offsets are recomputed.
-  flushState();
-  prog_ = compileProgram(ctx_.netlist_, ctx_.board_,
+  prog_ = compileProgram(ctx_.netlist_, ctx_.board_, ctx_.stateOff_,
                          ctx_.shards_ > 1 ? &ctx_.plan_ : nullptr);
   hasProgram_ = true;
-  state_.assign(prog_.stateWords, 0);
 }
 
 void Vm::bind() {
@@ -81,13 +45,13 @@ void Vm::bind() {
   words_ = b.payloadData();
   spill_ = b.spillData();
   changed_ = b.changedData();
+  records_ = ctx_.state_.data();
 }
 
 void Vm::settle() {
   ctx_.ensureTopologyCache();  // board layout current before addressing it
   ensureProgram();
   bind();
-  adoptArena();
   if (ctx_.shards_ > 1)
     ctx_.settleShardedWith([this](NodeId id) { evalNode(id); });
   else
@@ -98,7 +62,6 @@ void Vm::edge() {
   ctx_.ensureTopologyCache();
   ensureProgram();
   bind();
-  adoptArena();
   if (ctx_.shards_ > 1)
     ctx_.edgeShardedWith([this](NodeId id) { edgeNode(id, true); });
   else
@@ -117,194 +80,7 @@ bool Vm::hasSpecializedOpFor(NodeId id) const {
   return idx != Program::kNoOp && prog_.ops[idx].code != OpCode::kGeneric;
 }
 
-void Vm::edgeNodeForAudit(NodeId id) {
-  const Op& op = prog_.ops[prog_.opOf[id]];
-  // The audit just rewound the node OBJECT, so re-adopt it, replay the op
-  // against the arena, and flush so packState() sees the compiled result.
-  // The global arena validity is untouched: the audit edge runs interpreted
-  // around these replays, so the node objects stay authoritative throughout.
-  if (op.stateOff != Op::kNoState) adoptOp(op);
-  edgeNode(id, false);
-  if (op.stateOff != Op::kNoState) flushOp(op);
-}
-
-// --- node-state arena adoption/flush -----------------------------------------
-
-void Vm::adoptArena() {
-  if (arenaValid_) return;
-  for (const Op& op : prog_.ops)
-    if (op.stateOff != Op::kNoState) adoptOp(op);
-  arenaValid_ = true;
-}
-
-void Vm::flushState() {
-  if (!arenaValid_) return;
-  arenaValid_ = false;
-  for (const Op& op : prog_.ops) {
-    if (op.stateOff == Op::kNoState) continue;
-    // NodeIds are never recycled, so liveness is airtight: a node removed by
-    // surgery since the compile simply drops its (now unowned) state.
-    if (!ctx_.netlist_.hasNode(op.nodeId)) continue;
-    flushOp(op);
-  }
-}
-
-void Vm::adoptOp(const Op& op) {
-  std::uint64_t* S = &state_[op.stateOff];
-  const SlotAddr* P = prog_.ports.data() + op.portBase;
-  switch (op.code) {
-    case OpCode::kEb: {
-      const auto& eb = *static_cast<const ElasticBuffer*>(op.obj);
-      S[0] = pack32(eb.head_, eb.count_);
-      S[1] = static_cast<std::uint64_t>(static_cast<std::int64_t>(eb.antiTokens_));
-      for (unsigned i = 0; i < eb.count_; ++i) {
-        unsigned idx = eb.head_ + i;
-        if (idx >= eb.capacity_) idx -= eb.capacity_;
-        S[2 + idx] = packWord(eb.ring_[idx], P[1].width);
-      }
-      break;
-    }
-    case OpCode::kEb0: {
-      const auto& eb = *static_cast<const ElasticBuffer0*>(op.obj);
-      S[0] = eb.slot_.has_value() ? 1 : 0;
-      S[1] = eb.slot_ ? packWord(*eb.slot_, P[1].width) : 0;
-      break;
-    }
-    case OpCode::kBrokenEb: {
-      const auto& bb = *static_cast<const BrokenBuffer*>(op.obj);
-      S[0] = (bb.slot_.has_value() ? 1u : 0u) | (bb.stopReg_ ? 2u : 0u);
-      S[1] = bb.slot_ ? packWord(*bb.slot_, P[1].width) : 0;
-      break;
-    }
-    case OpCode::kFork: {
-      const auto& fk = *static_cast<const ForkNode*>(op.obj);
-      std::uint64_t mask = 0;
-      for (unsigned i = 0; i < op.nOut; ++i)
-        if (fk.done_[i]) mask |= std::uint64_t{1} << i;
-      S[0] = mask;
-      break;
-    }
-    case OpCode::kEeMux: {
-      const auto& mx = *static_cast<const EarlyEvalMux*>(op.obj);
-      for (unsigned i = 0; i + 1 < op.nIn; ++i) S[i] = mx.pendingAnti_[i];
-      break;
-    }
-    case OpCode::kSource: {
-      const auto& src = *static_cast<const TokenSource*>(op.obj);
-      S[0] = src.index_;
-      S[1] = pack32(src.offering_ ? 1 : 0, src.killCredit_);
-      break;
-    }
-    case OpCode::kSink: {
-      const auto& sk = *static_cast<const TokenSink*>(op.obj);
-      S[0] = pack32(sk.antiActive_ ? 1 : 0, sk.antiRemaining_);
-      break;
-    }
-    case OpCode::kNondetSource: {
-      const auto& ns = *static_cast<const NondetSource*>(op.obj);
-      S[0] = ns.offering_ ? 1 : 0;
-      S[1] = packWord(ns.value_, P[0].width);
-      S[2] = pack32(ns.killCredit_, ns.idleStreak_);
-      break;
-    }
-    case OpCode::kNondetSink: {
-      const auto& nk = *static_cast<const NondetSink*>(op.obj);
-      S[0] = pack32(nk.antiActive_ ? 1 : 0, nk.consecutiveStops_);
-      break;
-    }
-    case OpCode::kVlu: {
-      const auto& vu = *static_cast<const StallingVLU*>(op.obj);
-      S[0] = (vu.pending_.has_value() ? 1u : 0u) |
-             (vu.result_.has_value() ? 2u : 0u);
-      S[1] = vu.pending_ ? packWord(*vu.pending_, P[0].width) : 0;
-      S[2] = vu.result_ ? packWord(*vu.result_, P[1].width) : 0;
-      break;
-    }
-    default:
-      break;
-  }
-}
-
-void Vm::flushOp(const Op& op) {
-  const std::uint64_t* S = &state_[op.stateOff];
-  const SlotAddr* P = prog_.ports.data() + op.portBase;
-  switch (op.code) {
-    case OpCode::kEb: {
-      auto& eb = *static_cast<ElasticBuffer*>(op.obj);
-      eb.head_ = lo32(S[0]);
-      eb.count_ = hi32(S[0]);
-      eb.antiTokens_ = static_cast<int>(static_cast<std::int64_t>(S[1]));
-      if (P[1].width > 0)
-        for (unsigned i = 0; i < eb.count_; ++i) {
-          unsigned idx = eb.head_ + i;
-          if (idx >= eb.capacity_) idx -= eb.capacity_;
-          eb.ring_[idx].assignNarrow(P[1].width, S[2 + idx]);
-        }
-      break;
-    }
-    case OpCode::kEb0: {
-      auto& eb = *static_cast<ElasticBuffer0*>(op.obj);
-      storeOpt(eb.slot_, (S[0] & 1) != 0, P[1].width, S[1]);
-      break;
-    }
-    case OpCode::kBrokenEb: {
-      auto& bb = *static_cast<BrokenBuffer*>(op.obj);
-      storeOpt(bb.slot_, (S[0] & 1) != 0, P[1].width, S[1]);
-      bb.stopReg_ = (S[0] & 2) != 0;
-      break;
-    }
-    case OpCode::kFork: {
-      auto& fk = *static_cast<ForkNode*>(op.obj);
-      for (unsigned i = 0; i < op.nOut; ++i)
-        fk.done_[i] = (S[0] >> i) & 1;
-      break;
-    }
-    case OpCode::kEeMux: {
-      auto& mx = *static_cast<EarlyEvalMux*>(op.obj);
-      for (unsigned i = 0; i + 1 < op.nIn; ++i)
-        mx.pendingAnti_[i] = static_cast<unsigned>(S[i]);
-      break;
-    }
-    case OpCode::kSource: {
-      auto& src = *static_cast<TokenSource*>(op.obj);
-      src.index_ = S[0];
-      src.offering_ = (S[1] & 1) != 0;
-      src.killCredit_ = hi32(S[1]);
-      break;
-    }
-    case OpCode::kSink: {
-      auto& sk = *static_cast<TokenSink*>(op.obj);
-      sk.antiActive_ = (S[0] & 1) != 0;
-      sk.antiRemaining_ = hi32(S[0]);
-      break;
-    }
-    case OpCode::kNondetSource: {
-      auto& ns = *static_cast<NondetSource*>(op.obj);
-      ns.offering_ = S[0] != 0;
-      if (P[0].width > 0)
-        ns.value_.assignNarrow(P[0].width, S[1]);
-      else if (ns.value_.width() != 0)
-        ns.value_ = BitVec(0);
-      ns.killCredit_ = lo32(S[2]);
-      ns.idleStreak_ = hi32(S[2]);
-      break;
-    }
-    case OpCode::kNondetSink: {
-      auto& nk = *static_cast<NondetSink*>(op.obj);
-      nk.antiActive_ = (S[0] & 1) != 0;
-      nk.consecutiveStops_ = hi32(S[0]);
-      break;
-    }
-    case OpCode::kVlu: {
-      auto& vu = *static_cast<StallingVLU*>(op.obj);
-      storeOpt(vu.pending_, (S[0] & 1) != 0, P[0].width, S[1]);
-      storeOpt(vu.result_, (S[0] & 2) != 0, P[1].width, S[2]);
-      break;
-    }
-    default:
-      break;
-  }
-}
+void Vm::edgeNodeForAudit(NodeId id) { edgeNode(id, false); }
 
 // --- raw payload access (mirrors SignalBoard::setDataAt and friends) ---------
 
@@ -425,14 +201,15 @@ void Vm::evalNode(NodeId id) {
   const SlotAddr* P = prog_.ports.data() + op.portBase;
   switch (op.code) {
     case OpCode::kEb: {
-      const std::uint64_t* S = &state_[op.stateOff];
+      const std::uint64_t* S = records_ + op.stateOff;
       const SlotAddr& in = P[0];
       const SlotAddr& out = P[1];
-      const std::uint32_t count = hi32(S[0]);
-      const std::int64_t anti = static_cast<std::int64_t>(S[1]);
+      const std::uint32_t count = hi32(S[ElasticBuffer::kHeadCount]);
+      const std::int64_t anti = static_cast<std::int64_t>(S[ElasticBuffer::kAnti]);
       const bool hasTok = count > 0;
       wrBit(out, kVf, hasTok);
-      if (hasTok) wrWord(out, S[2 + lo32(S[0])]);  // front = ring[head]
+      if (hasTok)  // front = ring[head]
+        wrWord(out, S[ElasticBuffer::kRing + lo32(S[ElasticBuffer::kHeadCount])]);
       wrBit(out, kSb, !hasTok && anti >= static_cast<std::int64_t>(op.fnB));
       wrBit(in, kSf,
             static_cast<std::int64_t>(count) - anti >=
@@ -441,12 +218,12 @@ void Vm::evalNode(NodeId id) {
       break;
     }
     case OpCode::kEb0: {
-      const std::uint64_t* S = &state_[op.stateOff];
+      const std::uint64_t* S = records_ + op.stateOff;
       const SlotAddr& in = P[0];
       const SlotAddr& out = P[1];
-      const bool full = (S[0] & 1) != 0;
+      const bool full = S[ElasticBuffer0::kFull] != 0;
       wrBit(out, kVf, full);
-      if (full) wrWord(out, S[1]);
+      if (full) wrWord(out, S[ElasticBuffer0::kSlot]);
       const bool leave = full && (!rdBit(out, kSf) || rdBit(out, kVb));
       wrBit(in, kSf, full && !leave);
       wrBit(in, kVb, !full && rdBit(out, kVb));
@@ -454,19 +231,19 @@ void Vm::evalNode(NodeId id) {
       break;
     }
     case OpCode::kBrokenEb: {
-      const std::uint64_t* S = &state_[op.stateOff];
+      const std::uint64_t* S = records_ + op.stateOff;
       const SlotAddr& in = P[0];
       const SlotAddr& out = P[1];
-      const bool full = (S[0] & 1) != 0;
+      const bool full = (S[BrokenBuffer::kFlags] & BrokenBuffer::kFull) != 0;
       wrBit(out, kVf, full);
-      if (full) wrWord(out, S[1]);
+      if (full) wrWord(out, S[BrokenBuffer::kSlot]);
       wrBit(out, kSb, true);
-      wrBit(in, kSf, (S[0] & 2) != 0);
+      wrBit(in, kSf, (S[BrokenBuffer::kFlags] & BrokenBuffer::kStopReg) != 0);
       wrBit(in, kVb, false);
       break;
     }
     case OpCode::kFork: {
-      const std::uint64_t done = state_[op.stateOff];
+      const std::uint64_t done = records_[op.stateOff];
       const SlotAddr& in = P[0];
       const unsigned n = op.nOut;
       const bool inVf = rdBit(in, kVf);
@@ -529,7 +306,7 @@ void Vm::evalNode(NodeId id) {
       break;
     }
     case OpCode::kEeMux: {
-      const std::uint64_t* S = &state_[op.stateOff];
+      const std::uint64_t* S = records_ + op.stateOff;
       const unsigned k = op.nIn - 1u;
       const SlotAddr& sel = P[0];
       const SlotAddr& out = P[1 + k];
@@ -564,11 +341,12 @@ void Vm::evalNode(NodeId id) {
     }
     case OpCode::kSource: {
       auto& src = *static_cast<TokenSource*>(op.obj);
-      const std::uint64_t* S = &state_[op.stateOff];
+      const std::uint64_t* S = records_ + op.stateOff;
       const SlotAddr& out = P[0];
+      const std::uint64_t offering = S[TokenSource::kOffer];
       const std::optional<BitVec> tok =
-          (S[1] & 1) ? src.tokenAt(S[0]) : std::nullopt;
-      const bool offer = tok.has_value() && hi32(S[1]) == 0;
+          (offering & 1) ? src.tokenAt(S[TokenSource::kIndex]) : std::nullopt;
+      const bool offer = tok.has_value() && hi32(offering) == 0;
       wrBit(out, kVf, offer);
       if (offer) wrData(out, *tok);
       wrBit(out, kSb, false);  // sources always absorb anti-tokens
@@ -576,26 +354,27 @@ void Vm::evalNode(NodeId id) {
     }
     case OpCode::kSink: {
       auto& sk = *static_cast<TokenSink*>(op.obj);
-      const std::uint64_t* S = &state_[op.stateOff];
+      const std::uint64_t anti = records_[op.stateOff + TokenSink::kAnti];
       const SlotAddr& in = P[0];
       const bool wantAnti =
-          (S[0] & 1) ||
-          (hi32(S[0]) > 0 && sk.antiGate_ && sk.antiGate_(ctx_.cycle()));
+          (anti & 1) ||
+          (hi32(anti) > 0 && sk.antiGate_ && sk.antiGate_(ctx_.cycle()));
       wrBit(in, kVb, wantAnti);
       wrBit(in, kSf, !wantAnti && sk.ready_ && !sk.ready_(ctx_.cycle()));
       break;
     }
     case OpCode::kNondetSource: {
       const auto& ns = *static_cast<const NondetSource*>(op.obj);
-      const std::uint64_t* S = &state_[op.stateOff];
+      const std::uint64_t* S = records_ + op.stateOff;
       const SlotAddr& out = P[0];
-      const bool held = S[0] != 0;  // Retry+ persistence
+      const bool held = S[NondetSource::kOffer] != 0;  // Retry+ persistence
+      const std::uint64_t credit = S[NondetSource::kCredit];
       const bool offeringNow =
-          held || ctx_.choice(*op.node, 0) || hi32(S[2]) >= op.fnB;
-      const bool offer = offeringNow && lo32(S[2]) == 0;
+          held || ctx_.choice(*op.node, 0) || hi32(credit) >= op.fnB;
+      const bool offer = offeringNow && lo32(credit) == 0;
       wrBit(out, kVf, offer);
       if (offer) {
-        std::uint64_t v = S[1];
+        std::uint64_t v = S[NondetSource::kValue];
         if (!held) {
           v = 0;
           for (unsigned b = 0; b < ns.dataBits_; ++b)
@@ -603,16 +382,16 @@ void Vm::evalNode(NodeId id) {
         }
         wrWord(out, v);
       }
-      wrBit(out, kSb, !offer && lo32(S[2]) >= op.fnA);
+      wrBit(out, kSb, !offer && lo32(credit) >= op.fnA);
       break;
     }
     case OpCode::kNondetSink: {
-      const std::uint64_t* S = &state_[op.stateOff];
+      const std::uint64_t* S = records_ + op.stateOff;
       const SlotAddr& in = P[0];
-      const bool anti = (S[0] & 1) || (op.fnB != 0 && ctx_.choice(*op.node, 1));
+      const std::uint64_t stops = S[NondetSink::kStops];
+      const bool anti = (stops & 1) || (op.fnB != 0 && ctx_.choice(*op.node, 1));
       wrBit(in, kVb, anti);
-      wrBit(in, kSf,
-            !anti && hi32(S[0]) < op.fnA && ctx_.choice(*op.node, 0));
+      wrBit(in, kSf, !anti && hi32(stops) < op.fnA && ctx_.choice(*op.node, 0));
       break;
     }
     case OpCode::kShared: {
@@ -652,15 +431,19 @@ void Vm::evalNode(NodeId id) {
       break;
     }
     case OpCode::kVlu: {
-      const std::uint64_t* S = &state_[op.stateOff];
+      const std::uint64_t* S = records_ + op.stateOff;
       const SlotAddr& in = P[0];
       const SlotAddr& out = P[1];
-      const bool haveResult = (S[0] & 2) != 0;
+      // Specialized VLUs have one-word operands: the result word follows.
+      constexpr std::uint32_t kVluResult = StallingVLU::kPendingOff + 1;
+      const std::uint64_t flags = S[StallingVLU::kFlags];
+      const bool haveResult = (flags & StallingVLU::kResult) != 0;
       wrBit(out, kVf, haveResult);
-      if (haveResult) wrWord(out, S[2]);
+      if (haveResult) wrWord(out, S[kVluResult]);
       wrBit(out, kSb, !haveResult);
       const bool leave = haveResult && (!rdBit(out, kSf) || rdBit(out, kVb));
-      const bool canAccept = !(S[0] & 1) && (!haveResult || leave);
+      const bool canAccept =
+          !(flags & StallingVLU::kPending) && (!haveResult || leave);
       wrBit(in, kSf, !canAccept);
       wrBit(in, kVb, false);
       break;
@@ -682,13 +465,13 @@ void Vm::edgeNode(NodeId id, bool applyStats) {
   const SlotAddr* P = prog_.ports.data() + op.portBase;
   switch (op.code) {
     case OpCode::kEb: {
-      std::uint64_t* S = &state_[op.stateOff];
+      std::uint64_t* S = records_ + op.stateOff;
       const Ev in = evAt(P[0]);
       const Ev out = evAt(P[1]);
       const std::uint32_t cap = static_cast<std::uint32_t>(op.fnA);
-      std::uint32_t head = lo32(S[0]);
-      std::uint32_t count = hi32(S[0]);
-      std::int64_t anti = static_cast<std::int64_t>(S[1]);
+      std::uint32_t head = lo32(S[ElasticBuffer::kHeadCount]);
+      std::uint32_t count = hi32(S[ElasticBuffer::kHeadCount]);
+      std::int64_t anti = static_cast<std::int64_t>(S[ElasticBuffer::kAnti]);
       if (out.kill || out.fwd) {
         ESL_ASSERT(count > 0);
         head = head + 1 == cap ? 0 : head + 1;
@@ -703,7 +486,7 @@ void Vm::edgeNode(NodeId id, bool applyStats) {
       } else if (in.fwd) {
         std::uint32_t tail = head + count;
         if (tail >= cap) tail -= cap;
-        S[2 + tail] = rdLow64(P[0]);
+        S[ElasticBuffer::kRing + tail] = rdLow64(P[0]);
         ++count;
         ESL_ASSERT(count <= cap);
       } else if (in.bwd) {
@@ -716,40 +499,41 @@ void Vm::edgeNode(NodeId id, bool applyStats) {
         --anti;
       }
       ESL_ASSERT(count == 0 || anti == 0);
-      S[0] = pack32(head, count);
-      S[1] = static_cast<std::uint64_t>(anti);
+      S[ElasticBuffer::kHeadCount] = pack32(head, count);
+      S[ElasticBuffer::kAnti] = static_cast<std::uint64_t>(anti);
       break;
     }
     case OpCode::kEb0: {
-      std::uint64_t* S = &state_[op.stateOff];
+      std::uint64_t* S = records_ + op.stateOff;
       const Ev in = evAt(P[0]);
       const Ev out = evAt(P[1]);
-      bool has = (S[0] & 1) != 0;
+      bool has = S[ElasticBuffer0::kFull] != 0;
       if (out.kill || out.fwd) has = false;
       if (in.fwd) {
         ESL_ASSERT(!has);
         has = true;
-        S[1] = rdLow64(P[0]);
+        S[ElasticBuffer0::kSlot] = rdLow64(P[0]);
       }
-      S[0] = has ? 1 : 0;
+      S[ElasticBuffer0::kFull] = has ? 1 : 0;
       break;
     }
     case OpCode::kBrokenEb: {
-      std::uint64_t* S = &state_[op.stateOff];
+      std::uint64_t* S = records_ + op.stateOff;
       const Ev in = evAt(P[0]);
       const Ev out = evAt(P[1]);
-      bool has = (S[0] & 1) != 0;
+      bool has = (S[BrokenBuffer::kFlags] & BrokenBuffer::kFull) != 0;
       const bool stopReg = has;  // the bug: stop lags the state by a cycle
       if (out.fwd) has = false;
       if (in.fwd) {  // may overwrite a live token
         has = true;
-        S[1] = rdLow64(P[0]);
+        S[BrokenBuffer::kSlot] = rdLow64(P[0]);
       }
-      S[0] = (has ? 1u : 0u) | (stopReg ? 2u : 0u);
+      S[BrokenBuffer::kFlags] = (has ? BrokenBuffer::kFull : 0) |
+                                (stopReg ? BrokenBuffer::kStopReg : 0);
       break;
     }
     case OpCode::kFork: {
-      std::uint64_t* S = &state_[op.stateOff];
+      std::uint64_t* S = records_ + op.stateOff;
       const SlotAddr& in = P[0];
       const unsigned n = op.nOut;
       if (!rdBit(in, kVf)) break;
@@ -772,7 +556,7 @@ void Vm::edgeNode(NodeId id, bool applyStats) {
     }
     case OpCode::kEeMux: {
       auto& mx = *static_cast<EarlyEvalMux*>(op.obj);
-      std::uint64_t* S = &state_[op.stateOff];
+      std::uint64_t* S = records_ + op.stateOff;
       const unsigned k = op.nIn - 1u;
       const SlotAddr& sel = P[0];
       const SlotAddr& out = P[1 + k];
@@ -802,11 +586,11 @@ void Vm::edgeNode(NodeId id, bool applyStats) {
     }
     case OpCode::kSource: {
       auto& src = *static_cast<TokenSource*>(op.obj);
-      std::uint64_t* S = &state_[op.stateOff];
+      std::uint64_t* S = records_ + op.stateOff;
       const Ev out = evAt(P[0]);
-      std::uint64_t index = S[0];
-      bool offering = (S[1] & 1) != 0;
-      std::uint32_t killCredit = hi32(S[1]);
+      std::uint64_t index = S[TokenSource::kIndex];
+      bool offering = (S[TokenSource::kOffer] & 1) != 0;
+      std::uint32_t killCredit = hi32(S[TokenSource::kOffer]);
       if (out.kill) {
         ++index;
         if (applyStats) ++src.killedCount_;
@@ -830,19 +614,19 @@ void Vm::edgeNode(NodeId id, bool applyStats) {
       if (!offering && (!src.gate_ || src.gate_(ctx_.cycle() + 1)) &&
           src.tokenAt(index).has_value() && killCredit == 0)
         offering = true;
-      S[0] = index;
-      S[1] = pack32(offering ? 1 : 0, killCredit);
+      S[TokenSource::kIndex] = index;
+      S[TokenSource::kOffer] = pack32(offering ? 1 : 0, killCredit);
       break;
     }
     case OpCode::kSink: {
       auto& sk = *static_cast<TokenSink*>(op.obj);
-      std::uint64_t* S = &state_[op.stateOff];
+      std::uint64_t& S = records_[op.stateOff + TokenSink::kAnti];
       const Ev in = evAt(P[0]);
       if (in.fwd && applyStats)
         sk.transfers_.push_back({ctx_.cycle(), rdData(P[0])});
       if (in.vb) {
-        bool antiActive = (S[0] & 1) != 0;
-        std::uint32_t remaining = hi32(S[0]);
+        bool antiActive = (S & 1) != 0;
+        std::uint32_t remaining = hi32(S);
         const bool delivered = in.vf || !in.sb;
         if (delivered) {
           ESL_ASSERT(remaining > 0);
@@ -851,20 +635,21 @@ void Vm::edgeNode(NodeId id, bool applyStats) {
         } else {
           antiActive = true;  // Retry-: persist until delivered
         }
-        S[0] = pack32(antiActive ? 1 : 0, remaining);
+        S = pack32(antiActive ? 1 : 0, remaining);
       }
       break;
     }
     case OpCode::kNondetSource: {
       const auto& ns = *static_cast<const NondetSource*>(op.obj);
-      std::uint64_t* S = &state_[op.stateOff];
+      std::uint64_t* S = records_ + op.stateOff;
       const Ev out = evAt(P[0]);
-      const bool held = S[0] != 0;
-      std::uint32_t killCredit = lo32(S[2]);
-      std::uint32_t idleStreak = hi32(S[2]);
+      const bool held = S[NondetSource::kOffer] != 0;
+      std::uint32_t killCredit = lo32(S[NondetSource::kCredit]);
+      std::uint32_t idleStreak = hi32(S[NondetSource::kCredit]);
       bool offered =
           held || ctx_.choice(*op.node, 0) || idleStreak >= op.fnB;
-      std::uint64_t v = S[1];  // Retry+ persistence: value fixed while held
+      // Retry+ persistence: value fixed while held.
+      std::uint64_t v = S[NondetSource::kValue];
       if (!held) {
         v = 0;
         for (unsigned b = 0; b < ns.dataBits_; ++b)
@@ -877,25 +662,25 @@ void Vm::edgeNode(NodeId id, bool applyStats) {
         offered = false;
         --killCredit;
       }
-      S[0] = offered ? 1 : 0;
-      S[1] = offered ? v : 0;
+      S[NondetSource::kOffer] = offered ? 1 : 0;
+      S[NondetSource::kValue] = offered ? v : 0;
       // Bounded fairness: count consecutive cycles without an offer. Must
       // re-query the offer decision AFTER the offering update, like the node.
       if (offered || ctx_.choice(*op.node, 0) || idleStreak >= op.fnB)
         idleStreak = 0;
       else if (idleStreak < op.fnB)
         ++idleStreak;
-      S[2] = pack32(killCredit, idleStreak);
+      S[NondetSource::kCredit] = pack32(killCredit, idleStreak);
       break;
     }
     case OpCode::kNondetSink: {
-      std::uint64_t* S = &state_[op.stateOff];
+      std::uint64_t& S = records_[op.stateOff + NondetSink::kStops];
       const Ev in = evAt(P[0]);
-      std::uint32_t stops = in.sf ? hi32(S[0]) + 1 : 0;
+      std::uint32_t stops = in.sf ? hi32(S) + 1 : 0;
       if (stops > op.fnA) stops = static_cast<std::uint32_t>(op.fnA);
-      bool antiActive = (S[0] & 1) != 0;
+      bool antiActive = (S & 1) != 0;
       if (in.vb) antiActive = !(in.vf || !in.sb);
-      S[0] = pack32(antiActive ? 1 : 0, stops);
+      S = pack32(antiActive ? 1 : 0, stops);
       break;
     }
     case OpCode::kShared: {
@@ -926,33 +711,37 @@ void Vm::edgeNode(NodeId id, bool applyStats) {
     }
     case OpCode::kVlu: {
       auto& vu = *static_cast<StallingVLU*>(op.obj);
-      std::uint64_t* S = &state_[op.stateOff];
+      std::uint64_t* S = records_ + op.stateOff;
       const Ev in = evAt(P[0]);
       const Ev out = evAt(P[1]);
-      bool hasPending = (S[0] & 1) != 0;
-      bool hasResult = (S[0] & 2) != 0;
+      constexpr std::uint32_t kVluResult = StallingVLU::kPendingOff + 1;
+      bool hasPending = (S[StallingVLU::kFlags] & StallingVLU::kPending) != 0;
+      bool hasResult = (S[StallingVLU::kFlags] & StallingVLU::kResult) != 0;
       if (out.kill || out.fwd) {
         if (out.fwd && applyStats) ++vu.completed_;
         hasResult = false;
       }
       if (hasPending) {
         ESL_ASSERT(!hasResult);
-        S[2] = packWord(vu.exact_(BitVec(P[0].width, S[1])), P[1].width);
+        storePayload(S + kVluResult,
+                     vu.exact_(loadPayload(S + StallingVLU::kPendingOff, P[0].width)),
+                     P[1].width);
         hasResult = true;
         hasPending = false;
       } else if (in.fwd) {
         const BitVec x = rdData(P[0]);
         if (vu.err_(x)) {
-          S[1] = rdLow64(P[0]);  // bubble next cycle, sender stalled
+          S[StallingVLU::kPendingOff] = rdLow64(P[0]);  // bubble, sender stalled
           hasPending = true;
           if (applyStats) ++vu.stalls_;
         } else {
           // approx == exact when no error flagged
-          S[2] = packWord(vu.exact_(x), P[1].width);
+          storePayload(S + kVluResult, vu.exact_(x), P[1].width);
           hasResult = true;
         }
       }
-      S[0] = (hasPending ? 1u : 0u) | (hasResult ? 2u : 0u);
+      S[StallingVLU::kFlags] = (hasPending ? StallingVLU::kPending : 0) |
+                               (hasResult ? StallingVLU::kResult : 0);
       break;
     }
     case OpCode::kGeneric:

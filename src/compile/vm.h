@@ -9,22 +9,19 @@
 // settle stays a bitmap worklist and the edge stays a hot-group event scan,
 // so cycles stay O(active) while per-node cost drops to raw loads/stores.
 //
-// --- Node-state arena --------------------------------------------------------
+// --- Node state ----------------------------------------------------------------
 //
 // Per-node sequential state (EB rings, fork done bits, source cursors, VLU
-// operands, pending anti-token counters) lives in one contiguous VM-owned
-// u64 arena, indexed by each op's precomputed stateOff: a settle step streams
-// the op record, its port records and its state record instead of chasing
-// into a heap-allocated node object (~5–8 cache lines per active op before,
-// ~2–3 sequential streams after). The node objects remain the authoritative
-// store whenever the VM is not running: every compiled phase adopts
-// (node → arena) lazily on entry, and flushState() publishes (arena → node)
-// before anything interprets node state — packState(), the sweep/interpreted
-// kernels, the cross-check audits. Snapshots therefore stay byte-identical
-// to the interpreter: packState always reads freshly flushed node objects.
-// Statistics (firings, transfer logs) are excluded from the arena and written
-// directly to the nodes — packState excludes them too, so they need no flush
-// discipline.
+// operands, pending anti-token counters) lives in the SimContext's node-state
+// arena — one contiguous u64 array and the only copy of that state, shared
+// with the interpreted kernels, packState() and the audits. The VM owns no
+// node state: each op addresses its node's record through the precomputed
+// stateOff, so a settle step streams the op record, its port records and its
+// state record instead of chasing into a heap-allocated node object (~5–8
+// cache lines per active op before, ~2–3 sequential streams after). Each kind
+// declares its record layout once (elastic/*.h); the ops below use those
+// field names. Statistics (firings, transfer logs) stay on the node objects —
+// packState excludes them too.
 //
 // Every specialized op is a line-for-line transcription of the node's
 // evalComb/clockEdge against raw addresses and arena words (the VM is a
@@ -36,20 +33,20 @@
 //
 // The program is recompiled whenever the netlist's topologyVersion OR the
 // board's layoutGeneration moves (a shard-count change permutes slots without
-// a topology bump). Recompiling first flushes the old arena into every node
-// that is still alive, so state survives netlist surgery and re-layouts. Raw
-// board pointers are re-fetched at every phase (bind()).
+// a topology bump); the context re-lays the state arena in the same step,
+// keeping every surviving node's record, so state survives netlist surgery
+// and re-layouts with nothing to copy back. Raw board and arena pointers are
+// re-fetched at every phase (bind()).
 //
 // Sharded composition (shards > 1): the compiler keeps every boundary-
 // adjacent node generic (staging-aware Sig accessors), interior specialized
-// ops write owner-exclusive planes, and each shard's arena slice starts
+// ops write owner-exclusive planes, and each shard's state records start
 // cache-line-aligned — so the staged boundary exchange of the sharded
 // kernels carries over unchanged and packState stays bit-identical to the
 // serial compiled backend for every shard count.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "compile/compiler.h"
 
@@ -74,31 +71,16 @@ class Vm {
   /// True when `id` lowered to a specialized op (generic fallbacks run the
   /// same virtual code as the interpreted kernel, so audits skip them).
   bool hasSpecializedOpFor(NodeId id) const;
-  /// Runs one node's compiled clock edge without statistics side effects
-  /// (the edge audit replays state transitions; stats must count once).
-  /// Self-contained arena surgery: adopts the node object (which the audit
-  /// just rewound), replays the op, and flushes the result back so the
-  /// caller's packState() comparison sees the compiled transition.
+  /// Replays one node's compiled clock edge on its (rewound) arena record
+  /// without statistics side effects (the edge audit compares it with the
+  /// interpreted edge; stats must count once).
   void edgeNodeForAudit(NodeId id);
-
-  /// Publishes the arena into the node objects (no-op unless a compiled
-  /// phase ran since the last flush) and hands authority back to the nodes.
-  /// SimContext calls this before ANY interpreted read of node state:
-  /// packState, the sweep/interpreted kernels, unpack/reset invalidation.
-  void flushState();
-  /// Drops the arena without flushing (node objects were just overwritten:
-  /// unpackState/reset). The next compiled phase re-adopts.
-  void invalidateState() { arenaValid_ = false; }
 
  private:
   void ensureProgram();
   void bind();
   void evalNode(NodeId id);
   void edgeNode(NodeId id, bool applyStats);
-  /// Node → arena for every stateful op (phase entry with a stale arena).
-  void adoptArena();
-  void adoptOp(const Op& op);
-  void flushOp(const Op& op);
 
   // --- raw board access (mirrors SignalBoard::setBitAt/setDataAt exactly) ---
   bool rdBit(const SlotAddr& a, unsigned plane) const {
@@ -163,16 +145,13 @@ class Vm {
   Program prog_;
   bool hasProgram_ = false;
 
-  // Raw arena pointers, re-fetched by bind() before every phase.
+  // Raw board and node-state arena pointers, re-fetched by bind() before
+  // every phase.
   std::uint64_t* ctrl_ = nullptr;
   std::uint64_t* words_ = nullptr;
   BitVec* spill_ = nullptr;
   std::uint64_t* changed_ = nullptr;
-
-  /// Node-state arena (u64 records at each op's stateOff). Authoritative only
-  /// while arenaValid_; otherwise the node objects are.
-  std::vector<std::uint64_t> state_;
-  bool arenaValid_ = false;
+  std::uint64_t* records_ = nullptr;
 };
 
 }  // namespace esl::compile

@@ -26,93 +26,114 @@ ElasticBuffer::ElasticBuffer(std::string name, unsigned width, unsigned capacity
     ESL_CHECK(v.width() == width_, "ElasticBuffer: init token width mismatch");
   declareInput(width_);
   declareOutput(width_);
-  // Initialize the ring NOW, not just at context reset: a buffer spliced
-  // into a live context must never push into unsized storage.
-  ElasticBuffer::reset();
 }
 
-void ElasticBuffer::reset() {
-  ring_.assign(capacity_, BitVec(width_));
-  head_ = 0;
-  count_ = static_cast<unsigned>(init_.size());
-  for (unsigned i = 0; i < count_; ++i) ring_[i] = init_[i];
-  antiTokens_ = initAnti_;
+void ElasticBuffer::resetRecord(std::uint64_t* s) const {
+  s[kHeadCount] = pack32(0, static_cast<std::uint32_t>(init_.size()));
+  s[kAnti] = static_cast<std::uint64_t>(initAnti_);
+  for (std::uint32_t i = 0; i < init_.size(); ++i)
+    storePayload(s + ringOff(i), init_[i], width_);
+}
+
+int ElasticBuffer::occupancy(const SimContext& ctx) const {
+  const std::uint64_t* s = ctx.state(*this);
+  return static_cast<int>(hi32(s[kHeadCount])) - static_cast<int>(s[kAnti]);
 }
 
 void ElasticBuffer::evalComb(SimContext& ctx) {
+  const std::uint64_t* s = ctx.state(*this);
   Sig in = ctx.sig(input(0));
   Sig out = ctx.sig(output(0));
+  const std::int64_t count = hi32(s[kHeadCount]);
+  const auto anti = static_cast<std::int64_t>(s[kAnti]);
 
-  const bool hasTok = count_ > 0;
+  const bool hasTok = count > 0;
   // Producer side of the output channel.
   out.setVf(hasTok);
-  if (hasTok) out.setData(frontToken());
+  if (hasTok) out.setData(loadPayload(s + ringOff(lo32(s[kHeadCount])), width_));
   // Anti-tokens from downstream are consumed by killing the head token when
   // one exists; otherwise they are stored, subject to the anti capacity.
-  out.setSb(!hasTok && antiTokens_ >= static_cast<int>(antiCapacity_));
+  out.setSb(!hasTok && anti >= antiCapacity_);
 
   // Consumer side of the input channel. The stop is a function of state only,
   // which realizes Lb=1 (the sender learns about congestion a cycle late; the
   // spare capacity slot absorbs the in-flight token, hence C >= Lf+Lb).
-  in.setSf(occupancy() >= static_cast<int>(capacity_));
+  in.setSf(count - anti >= capacity_);
   // Stored anti-tokens travel upstream (active anti-tokens).
-  in.setVb(antiTokens_ > 0);
+  in.setVb(anti > 0);
 }
 
 void ElasticBuffer::clockEdge(SimContext& ctx) {
+  std::uint64_t* s = ctx.state(*this);
   const ConstSig in = ctx.sig(input(0));
   const ConstSig out = ctx.sig(output(0));
+  std::uint32_t head = lo32(s[kHeadCount]);
+  std::uint32_t count = hi32(s[kHeadCount]);
+  auto anti = static_cast<std::int64_t>(s[kAnti]);
+  const auto pop = [&] {
+    head = head + 1 == capacity_ ? 0 : head + 1;
+    --count;
+  };
 
   // Output-side events first (free the head slot before accepting).
   if (killEvent(out) || fwdTransfer(out)) {
-    ESL_ASSERT(count_ > 0);
-    popToken();
+    ESL_ASSERT(count > 0);
+    pop();
   } else if (bwdTransfer(out)) {
-    ESL_ASSERT(count_ == 0);
-    ++antiTokens_;
+    ESL_ASSERT(count == 0);
+    ++anti;
   }
 
   // Input-side events. The payload is only materialized on an actual
   // transfer — bit reads stay in the planes.
   if (killEvent(in)) {
-    ESL_ASSERT(antiTokens_ > 0);  // we asserted in.vb
-    --antiTokens_;
+    ESL_ASSERT(anti > 0);  // we asserted in.vb
+    --anti;
   } else if (fwdTransfer(in)) {
-    pushToken(in.data());
-    ESL_ASSERT(count_ <= capacity_);
+    std::uint32_t tail = head + count;
+    if (tail >= capacity_) tail -= capacity_;
+    storePayload(s + ringOff(tail), in.data(), width_);
+    ++count;
+    ESL_ASSERT(count <= capacity_);
   } else if (bwdTransfer(in)) {
-    ESL_ASSERT(antiTokens_ > 0);
-    --antiTokens_;
+    ESL_ASSERT(anti > 0);
+    --anti;
   }
 
   // Tokens and anti-tokens cancel inside the buffer (Fig. 3: "which cancel
   // each other at the boundaries of the EB"). This arises when a token enters
   // through the input in the same cycle an anti-token enters via the output.
-  while (count_ > 0 && antiTokens_ > 0) {
-    popToken();
-    --antiTokens_;
+  while (count > 0 && anti > 0) {
+    pop();
+    --anti;
   }
-  ESL_ASSERT(count_ == 0 || antiTokens_ == 0);
+  ESL_ASSERT(count == 0 || anti == 0);
+  s[kHeadCount] = pack32(head, count);
+  s[kAnti] = static_cast<std::uint64_t>(anti);
 }
 
-void ElasticBuffer::packState(StateWriter& w) const {
-  w.writeU32(count_);
-  for (unsigned i = 0; i < count_; ++i) {
-    unsigned idx = head_ + i;
+void ElasticBuffer::packRecord(const std::uint64_t* s, StateWriter& w) const {
+  const std::uint32_t head = lo32(s[kHeadCount]);
+  const std::uint32_t count = hi32(s[kHeadCount]);
+  w.writeU32(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    std::uint32_t idx = head + i;
     if (idx >= capacity_) idx -= capacity_;
-    w.writeBitVec(ring_[idx]);
+    w.writeBitVec(loadPayload(s + ringOff(idx), width_));
   }
-  w.writeU32(static_cast<std::uint32_t>(antiTokens_));
+  w.writeU32(static_cast<std::uint32_t>(s[kAnti]));
 }
 
-void ElasticBuffer::unpackState(StateReader& r) {
-  const unsigned n = r.readU32();
+void ElasticBuffer::unpackRecord(std::uint64_t* s, StateReader& r) const {
+  const std::uint32_t n = r.readU32();
   ESL_CHECK(n <= capacity_,
             "ElasticBuffer::unpackState: token count exceeds capacity on " + name());
-  head_ = 0;
-  count_ = n;
-  for (unsigned i = 0; i < n; ++i) ring_[i] = r.readBitVec();
-  antiTokens_ = static_cast<int>(r.readU32());
+  s[kHeadCount] = pack32(0, n);
+  for (std::uint32_t i = 0; i < n; ++i)
+    storePayload(s + ringOff(i), r.readBitVec(), width_);
+  // The count is serialized as a u32 of a signed field: sign-extend.
+  s[kAnti] = static_cast<std::uint64_t>(
+      static_cast<std::int64_t>(static_cast<std::int32_t>(r.readU32())));
 }
 
 logic::Cost ElasticBuffer::cost() const {
@@ -140,15 +161,20 @@ ElasticBuffer0::ElasticBuffer0(std::string name, unsigned width,
   declareOutput(width_);
 }
 
-void ElasticBuffer0::reset() { slot_ = init_; }
+void ElasticBuffer0::resetRecord(std::uint64_t* s) const {
+  if (!init_) return;
+  s[kFull] = 1;
+  storePayload(s + kSlot, *init_, width_);
+}
 
 void ElasticBuffer0::evalComb(SimContext& ctx) {
+  const std::uint64_t* s = ctx.state(*this);
   Sig in = ctx.sig(input(0));
   Sig out = ctx.sig(output(0));
 
-  const bool full = slot_.has_value();
+  const bool full = s[kFull] != 0;
   out.setVf(full);
-  if (full) out.setData(*slot_);
+  if (full) out.setData(loadPayload(s + kSlot, width_));
 
   // Head leaves this cycle if transferred or killed — computed from the
   // downstream signals, so the stop to the sender is combinational (Lb=0).
@@ -163,26 +189,26 @@ void ElasticBuffer0::evalComb(SimContext& ctx) {
 }
 
 void ElasticBuffer0::clockEdge(SimContext& ctx) {
+  std::uint64_t* s = ctx.state(*this);
   const ConstSig in = ctx.sig(input(0));
   const ConstSig out = ctx.sig(output(0));
 
-  if (killEvent(out) || fwdTransfer(out)) slot_.reset();
+  if (killEvent(out) || fwdTransfer(out)) s[kFull] = 0;
   if (fwdTransfer(in)) {
-    ESL_ASSERT(!slot_.has_value());
-    slot_ = in.data();
+    ESL_ASSERT(s[kFull] == 0);
+    s[kFull] = 1;
+    storePayload(s + kSlot, in.data(), width_);
   }
 }
 
-void ElasticBuffer0::packState(StateWriter& w) const {
-  w.writeBool(slot_.has_value());
-  if (slot_) w.writeBitVec(*slot_);
+void ElasticBuffer0::packRecord(const std::uint64_t* s, StateWriter& w) const {
+  w.writeBool(s[kFull] != 0);
+  if (s[kFull] != 0) w.writeBitVec(loadPayload(s + kSlot, width_));
 }
 
-void ElasticBuffer0::unpackState(StateReader& r) {
-  if (r.readBool())
-    slot_ = r.readBitVec();
-  else
-    slot_.reset();
+void ElasticBuffer0::unpackRecord(std::uint64_t* s, StateReader& r) const {
+  s[kFull] = r.readBool() ? 1 : 0;
+  if (s[kFull] != 0) storePayload(s + kSlot, r.readBitVec(), width_);
 }
 
 logic::Cost ElasticBuffer0::cost() const { return logic::eb0Cost(width_); }
@@ -204,44 +230,47 @@ BrokenBuffer::BrokenBuffer(std::string name, unsigned width)
   declareOutput(width_);
 }
 
-void BrokenBuffer::reset() {
-  slot_.reset();
-  stopReg_ = false;
-}
-
 void BrokenBuffer::evalComb(SimContext& ctx) {
+  const std::uint64_t* s = ctx.state(*this);
   Sig in = ctx.sig(input(0));
   Sig out = ctx.sig(output(0));
-  out.setVf(slot_.has_value());
-  if (slot_) out.setData(*slot_);
+  const bool full = (s[kFlags] & kFull) != 0;
+  out.setVf(full);
+  if (full) out.setData(loadPayload(s + kSlot, width_));
   out.setSb(true);  // no anti-token support
-  in.setSf(stopReg_);  // BUG: one cycle stale — the sender overruns the slot
+  // BUG: one cycle stale — the sender overruns the slot.
+  in.setSf((s[kFlags] & kStopReg) != 0);
   in.setVb(false);
 }
 
 void BrokenBuffer::clockEdge(SimContext& ctx) {
+  std::uint64_t* s = ctx.state(*this);
   const ConstSig in = ctx.sig(input(0));
   const ConstSig out = ctx.sig(output(0));
   // The Lb=1 stop reflects the occupancy *before* this edge, so the sender
   // learns about a fill one cycle late — with C=1 there is no slack slot to
   // absorb the in-flight token (paper §3.2: the C >= Lf+Lb scenario).
-  stopReg_ = slot_.has_value();
-  if (fwdTransfer(out)) slot_.reset();
-  if (fwdTransfer(in)) slot_ = in.data();  // may overwrite a live token
+  bool full = (s[kFlags] & kFull) != 0;
+  const bool stopReg = full;
+  if (fwdTransfer(out)) full = false;
+  if (fwdTransfer(in)) {  // may overwrite a live token
+    full = true;
+    storePayload(s + kSlot, in.data(), width_);
+  }
+  s[kFlags] = (full ? kFull : 0) | (stopReg ? kStopReg : 0);
 }
 
-void BrokenBuffer::packState(StateWriter& w) const {
-  w.writeBool(slot_.has_value());
-  if (slot_) w.writeBitVec(*slot_);
-  w.writeBool(stopReg_);
+void BrokenBuffer::packRecord(const std::uint64_t* s, StateWriter& w) const {
+  const bool full = (s[kFlags] & kFull) != 0;
+  w.writeBool(full);
+  if (full) w.writeBitVec(loadPayload(s + kSlot, width_));
+  w.writeBool((s[kFlags] & kStopReg) != 0);
 }
 
-void BrokenBuffer::unpackState(StateReader& r) {
-  if (r.readBool())
-    slot_ = r.readBitVec();
-  else
-    slot_.reset();
-  stopReg_ = r.readBool();
+void BrokenBuffer::unpackRecord(std::uint64_t* s, StateReader& r) const {
+  const bool full = r.readBool();
+  if (full) storePayload(s + kSlot, r.readBitVec(), width_);
+  s[kFlags] = (full ? kFull : 0) | (r.readBool() ? kStopReg : 0);
 }
 
 }  // namespace esl

@@ -31,14 +31,17 @@ class ElasticBuffer : public Node {
                 std::vector<BitVec> initTokens = {}, unsigned antiCapacity = 2,
                 int initAntiTokens = 0);
 
-  void reset() override;
   void evalComb(SimContext& ctx) override;
   EvalPurity evalPurity() const override { return EvalPurity::kStateDriven; }
   /// Tokens enter/leave and anti-tokens cancel only on channel events.
   EdgeActivity edgeActivity() const override { return EdgeActivity::kOnEvents; }
   void clockEdge(SimContext& ctx) override;
-  void packState(StateWriter& w) const override;
-  void unpackState(StateReader& r) override;
+  std::uint32_t stateWords() const override {
+    return kRing + capacity_ * payloadWords(width_);
+  }
+  void resetRecord(std::uint64_t* s) const override;
+  void packRecord(const std::uint64_t* s, StateWriter& w) const override;
+  void unpackRecord(std::uint64_t* s, StateReader& r) const override;
   logic::Cost cost() const override;
   void timing(TimingModel& m) const override;
   void flowEdges(std::vector<FlowEdge>& out) const override;
@@ -52,26 +55,22 @@ class ElasticBuffer : public Node {
   unsigned antiCapacity() const { return antiCapacity_; }
   const std::vector<BitVec>& initTokens() const { return init_; }
   int initAntiTokens() const { return initAnti_; }
-  /// Current token count (negative = stored anti-tokens).
-  int occupancy() const { return static_cast<int>(count_) - antiTokens_; }
+  /// Current token count in `ctx` (negative = stored anti-tokens).
+  int occupancy(const SimContext& ctx) const;
 
  private:
   friend class compile::Vm;
 
-  // The FIFO is a fixed ring over `capacity_` pre-sized BitVec slots: pushes
-  // and pops are index arithmetic plus a value assignment that reuses the
-  // slot's storage — no deque node traffic on the clock-edge hot path.
-  const BitVec& frontToken() const { return ring_[head_]; }
-  void popToken() {
-    head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
-    --count_;
-  }
-  template <typename V>
-  void pushToken(V&& v) {
-    unsigned tail = head_ + count_;
-    if (tail >= capacity_) tail -= capacity_;
-    ring_[tail] = std::forward<V>(v);
-    ++count_;
+  // Arena record: [kHeadCount] ring head | token count << 32, [kAnti] stored
+  // anti-tokens (two's complement), then the FIFO as a fixed ring of
+  // `capacity_` payload slots from kRing on — pushes and pops are index
+  // arithmetic plus a payload store.
+  static constexpr std::uint32_t kHeadCount = 0;
+  static constexpr std::uint32_t kAnti = 1;
+  static constexpr std::uint32_t kRing = 2;
+  /// Record offset of ring slot i.
+  std::uint32_t ringOff(std::uint32_t i) const {
+    return kRing + i * payloadWords(width_);
   }
 
   unsigned width_;
@@ -79,11 +78,6 @@ class ElasticBuffer : public Node {
   unsigned antiCapacity_;
   std::vector<BitVec> init_;
   int initAnti_;
-
-  std::vector<BitVec> ring_;
-  unsigned head_ = 0;
-  unsigned count_ = 0;
-  int antiTokens_ = 0;
 };
 
 class ElasticBuffer0 : public Node {
@@ -91,15 +85,16 @@ class ElasticBuffer0 : public Node {
   ElasticBuffer0(std::string name, unsigned width,
                  std::optional<BitVec> initToken = std::nullopt);
 
-  void reset() override;
   void evalComb(SimContext& ctx) override;
   EvalPurity evalPurity() const override { return EvalPurity::kStateful; }
   /// The slot fills/empties only on channel events (kills at the input
   /// boundary annihilate on the channel and never touch the slot).
   EdgeActivity edgeActivity() const override { return EdgeActivity::kOnEvents; }
   void clockEdge(SimContext& ctx) override;
-  void packState(StateWriter& w) const override;
-  void unpackState(StateReader& r) override;
+  std::uint32_t stateWords() const override { return kSlot + payloadWords(width_); }
+  void resetRecord(std::uint64_t* s) const override;
+  void packRecord(const std::uint64_t* s, StateWriter& w) const override;
+  void unpackRecord(std::uint64_t* s, StateReader& r) const override;
   logic::Cost cost() const override;
   void timing(TimingModel& m) const override;
   void flowEdges(std::vector<FlowEdge>& out) const override;
@@ -114,21 +109,24 @@ class ElasticBuffer0 : public Node {
  private:
   friend class compile::Vm;
 
+  // Arena record: [kFull] slot occupied, then the slot's payload.
+  static constexpr std::uint32_t kFull = 0;
+  static constexpr std::uint32_t kSlot = 1;
+
   unsigned width_;
   std::optional<BitVec> init_;
-  std::optional<BitVec> slot_;
 };
 
 class BrokenBuffer : public Node {
  public:
   BrokenBuffer(std::string name, unsigned width);
 
-  void reset() override;
   void evalComb(SimContext& ctx) override;
   EvalPurity evalPurity() const override { return EvalPurity::kStateDriven; }
   void clockEdge(SimContext& ctx) override;
-  void packState(StateWriter& w) const override;
-  void unpackState(StateReader& r) override;
+  std::uint32_t stateWords() const override { return kSlot + payloadWords(width_); }
+  void packRecord(const std::uint64_t* s, StateWriter& w) const override;
+  void unpackRecord(std::uint64_t* s, StateReader& r) const override;
   Persistence outputPersistence(unsigned) const override {
     return Persistence::kPersistent;
   }
@@ -137,9 +135,14 @@ class BrokenBuffer : public Node {
  private:
   friend class compile::Vm;
 
+  // Arena record: [kFlags] slot occupied | stop register << 1 (the bug: S+ to
+  // the sender lags the state by a cycle), then the slot's payload.
+  static constexpr std::uint32_t kFlags = 0;
+  static constexpr std::uint32_t kSlot = 1;
+  static constexpr std::uint64_t kFull = 1;
+  static constexpr std::uint64_t kStopReg = 2;
+
   unsigned width_;
-  std::optional<BitVec> slot_;
-  bool stopReg_ = false;  // the bug: S+ to the sender lags the state by a cycle
 };
 
 }  // namespace esl

@@ -15,10 +15,10 @@ SimContext::SimContext(Netlist& netlist) : netlist_(netlist) {
 SimContext::~SimContext() = default;
 
 void SimContext::reset() {
-  // The node objects are about to be overwritten wholesale: drop the compiled
-  // backend's arena without flushing (re-adopted at the next compiled phase).
-  if (vm_) vm_->invalidateState();
   for (const NodeId id : netlist_.nodeIds()) netlist_.node(id).reset();
+  // Dropping every record makes the relayout below start each one from reset.
+  state_.clear();
+  stateOff_.clear();
   cycle_ = 0;
   havePrev_ = false;
   violations_.clear();
@@ -135,6 +135,7 @@ void SimContext::ensureTopologyCache() {
       adjFlat_.push_back({board_.slotOf(ch), other});
     adjOffset_[id + 1] = static_cast<std::uint32_t>(adjFlat_.size());
   }
+  layoutState();
   topologySeen_ = netlist_.topologyVersion();
   shardsSeen_ = shards_;
   needFullSeed_ = true;
@@ -146,24 +147,46 @@ void SimContext::ensureTopologyCache() {
 void SimContext::setShards(unsigned n) {
   if (n == 0) n = 1;
   if (n == shards_) return;
-  // The re-layout below permutes board slots and bumps the layout generation,
-  // so a compiled program (keyed on it) recompiles at the next phase —
-  // flushing its arena through the old offsets first.
+  // The re-layout below permutes board slots and state records and bumps the
+  // layout generation, so a compiled program (keyed on it) recompiles at the
+  // next phase.
   shards_ = n;
   exec_.reset();
   invalidateSignals();
   ensureTopologyCache();  // re-partition + re-layout, preserving signal values
 }
 
-void SimContext::setBackend(Backend backend) { backend_ = backend; }
-
 void SimContext::parallelShards(const std::function<void(unsigned)>& fn) {
   exec().parallelFor(shards_,
                      [&](std::size_t s, unsigned) { fn(static_cast<unsigned>(s)); });
 }
 
-void SimContext::flushCompiledState() const {
-  if (vm_) vm_->flushState();
+void SimContext::layoutState() {
+  std::vector<std::uint32_t> off(netlist_.nodeCapacity(), kNoState);
+  std::uint32_t size = 0;
+  unsigned prevShard = ~0u;
+  for (const NodeId id : liveNodes_) {
+    const std::uint32_t words = nodePtr_[id]->stateWords();
+    if (words == 0) continue;
+    if (shards_ > 1 && plan_.nodeShard[id] != prevShard) size = (size + 7) & ~7u;
+    prevShard = plan_.nodeShard[id];
+    off[id] = size;
+    size += words;
+  }
+  // Like SignalBoard::adoptValuesFrom: surviving nodes keep their record,
+  // nodes spliced in since the last layout start from their reset record.
+  std::vector<std::uint64_t> words(size, 0);
+  for (const NodeId id : liveNodes_) {
+    if (off[id] == kNoState) continue;
+    const Node& node = *nodePtr_[id];
+    std::uint64_t* rec = words.data() + off[id];
+    if (id < stateOff_.size() && stateOff_[id] != kNoState)
+      std::copy_n(state_.data() + stateOff_[id], node.stateWords(), rec);
+    else
+      node.resetRecord(rec);
+  }
+  state_ = std::move(words);
+  stateOff_ = std::move(off);
 }
 
 compile::Vm& SimContext::vm() {
@@ -273,7 +296,6 @@ void SimContext::settle() {
 
 void SimContext::settleSweep() {
   ensureTopologyCache();
-  flushCompiledState();       // interpreted evals read node-object state
   changeTrackValid_ = false;  // sweep writes bypass the consume loop
   edgeTrackValid_ = false;    // ... and the settled-board guarantee
   const std::vector<NodeId>& ids = liveNodes_;
@@ -291,7 +313,6 @@ void SimContext::settleSweep() {
 }
 
 void SimContext::settleEventDriven() {
-  flushCompiledState();  // interpreted evals read node-object state
   settleEventDrivenWith([this](NodeId id) { nodePtr_[id]->evalComb(*this); });
 }
 
@@ -311,7 +332,6 @@ void SimContext::seedShards(std::uint64_t gen) {
 }
 
 void SimContext::settleSharded() {
-  flushCompiledState();  // interpreted evals read node-object state
   settleShardedWith([this](NodeId id) { nodePtr_[id]->evalComb(*this); });
 }
 
@@ -396,23 +416,19 @@ void SimContext::edge() {
 }
 
 void SimContext::edgeFull() {
-  flushCompiledState();  // interpreted clockEdges read node-object state
   for (const NodeId id : liveNodes_) netlist_.node(id).clockEdge(*this);
   sparseSeedValid_ = false;  // anything may have changed state
 }
 
 void SimContext::edgeSparse() {
-  flushCompiledState();  // interpreted clockEdges read node-object state
   edgeSparseWith([this](NodeId id) { nodePtr_[id]->clockEdge(*this); });
 }
 
 void SimContext::edgeSharded() {
-  flushCompiledState();  // interpreted clockEdges read node-object state
   edgeShardedWith([this](NodeId id) { nodePtr_[id]->clockEdge(*this); });
 }
 
 void SimContext::edgeAudited() {
-  flushCompiledState();  // runs interpreted edges and per-node state surgery
   // Reference clockEdge sweep over every node, auditing the EdgeActivity
   // declarations: a node the sparse path would have skipped (kOnEvents, no
   // adjacent event) must not change its serialized state. Channel events are
@@ -436,17 +452,17 @@ void SimContext::edgeAudited() {
       if (nodeStateful_[id]) prevClocked_.push_back(id);
       if (auditCompiled && vm().hasSpecializedOpFor(id)) {
         StateWriter w0;
-        node.packState(w0);
+        packNode(node, w0);
         const std::vector<std::uint8_t> s0 = w0.take();
         node.clockEdge(*this);
         StateWriter w1;
-        node.packState(w1);
+        packNode(node, w1);
         const std::vector<std::uint8_t> s1 = w1.take();
         StateReader rewind(s0);
-        node.unpackState(rewind);
+        unpackNode(node, rewind);
         vm().edgeNodeForAudit(id);
         StateWriter w2;
-        node.packState(w2);
+        packNode(node, w2);
         if (s1 != w2.take())
           throw InternalError(
               "edge cross-check: compiled clockEdge op for node '" +
@@ -459,10 +475,10 @@ void SimContext::edgeAudited() {
       continue;
     }
     StateWriter before;
-    node.packState(before);
+    packNode(node, before);
     node.clockEdge(*this);
     StateWriter after;
-    node.packState(after);
+    packNode(node, after);
     if (before.take() != after.take())
       throw InternalError(
           "edge cross-check: node '" + node.name() + "' (" + node.kindName() +
@@ -500,7 +516,6 @@ void SimContext::step() {
 }
 
 std::vector<std::uint8_t> SimContext::packState() const {
-  flushCompiledState();
   StateWriter w;
   w.writeU32(kSnapshotMagic);
   w.writeU32(kSnapshotVersion);
@@ -510,19 +525,44 @@ std::vector<std::uint8_t> SimContext::packState() const {
 }
 
 void SimContext::packStateInto(std::vector<std::uint8_t>& out) const {
-  flushCompiledState();
   StateWriter w(std::move(out));
   packNodeState(w);
   out = w.take();
+}
+
+void SimContext::packNode(const Node& node, StateWriter& w) const {
+  const NodeId id = node.id();
+  if (id < stateOff_.size() && stateOff_[id] != kNoState) {
+    node.packRecord(state_.data() + stateOff_[id], w);
+    return;
+  }
+  const std::uint32_t words = node.stateWords();
+  if (words == 0) {
+    node.packState(w);
+    return;
+  }
+  // Spliced in since the last layout: its record will start from reset.
+  std::vector<std::uint64_t> fresh(words, 0);
+  node.resetRecord(fresh.data());
+  node.packRecord(fresh.data(), w);
+}
+
+void SimContext::unpackNode(Node& node, StateReader& r) {
+  const std::uint32_t off = stateOff_[node.id()];
+  if (off == kNoState) {
+    node.unpackState(r);
+    return;
+  }
+  node.unpackRecord(state_.data() + off, r);
 }
 
 void SimContext::packNodeState(StateWriter& w) const {
   // The live-node cache avoids the nodeIds() allocation on the hot path; it
   // is valid whenever the topology has not moved since the last settle/reset.
   if (topologySeen_ == netlist_.topologyVersion()) {
-    for (const NodeId id : liveNodes_) netlist_.node(id).packState(w);
+    for (const NodeId id : liveNodes_) packNode(*nodePtr_[id], w);
   } else {
-    for (const NodeId id : netlist_.nodeIds()) netlist_.node(id).packState(w);
+    for (const NodeId id : netlist_.nodeIds()) packNode(netlist_.node(id), w);
   }
 }
 
@@ -557,9 +597,8 @@ void SimContext::unpackState(const std::vector<std::uint8_t>& bytes) {
     off = 16;
   }
   StateReader r(bytes, off);
-  for (const NodeId id : liveNodes_) netlist_.node(id).unpackState(r);
+  for (const NodeId id : liveNodes_) unpackNode(*nodePtr_[id], r);
   ESL_CHECK(r.done(), "unpackState: trailing bytes (netlist/state mismatch)");
-  if (vm_) vm_->invalidateState();  // node objects are now authoritative
   havePrev_ = false;
   sparseSeedValid_ = false;  // arbitrary state replacement: reseed stateful set
 }

@@ -44,8 +44,9 @@
 //     therefore packState() — are bit-identical for every shard count.
 //   * edge: each shard sweeps its interior plane range (plus the boundary
 //     region, filtered by ownership) for event bits and clocks only its own
-//     nodes. clockEdge writes node-local state only, so no synchronization is
-//     needed beyond the join barrier.
+//     nodes. clockEdge writes only its own node's state (its arena record,
+//     cache-line-separated between shards, or node-object statistics), so no
+//     synchronization is needed beyond the join barrier.
 // Per-cycle choice bits are pre-resolved serially before the parallel phases
 // (the provider must be a pure function of (node, index) per cycle — see
 // sim::Simulator, whose provider hashes (seed, cycle, node, index)), keeping
@@ -122,14 +123,16 @@ class SimContext {
   /// Selects the execution backend for the event-driven kernel. The compiled
   /// backend lowers the netlist once into bytecode (recompiled whenever the
   /// topology or the board layout moves) and runs settle/edge over raw board
-  /// offsets, with per-node sequential state in a VM-owned arena; settled
-  /// signals and packState() are bit-identical to the interpreted kernels.
-  /// Applies when kernel() == kEventDriven (the sweep kernel stays
-  /// interpreted — it is the reference oracle) and composes with setShards:
-  /// boundary-adjacent nodes fall back to the staging-aware interpreted path,
-  /// so the sharded compiled cycle reaches the same fixpoint. With
-  /// setCrossCheck(true) the compiled backend is what the sweep audits.
-  void setBackend(Backend backend);
+  /// offsets; settled signals and packState() are bit-identical to the
+  /// interpreted kernels. Both backends read and write the same node-state
+  /// arena (state()), so switching backends, kernels or shard counts at any
+  /// cycle boundary needs no state transfer. Applies when kernel() ==
+  /// kEventDriven (the sweep kernel stays interpreted — it is the reference
+  /// oracle) and composes with setShards: boundary-adjacent nodes fall back
+  /// to the staging-aware interpreted path, so the sharded compiled cycle
+  /// reaches the same fixpoint. With setCrossCheck(true) the compiled backend
+  /// is what the sweep audits.
+  void setBackend(Backend backend) { backend_ = backend; }
   Backend backend() const { return backend_; }
 
   /// External code that writes channel signals directly (outside evalComb)
@@ -153,6 +156,27 @@ class SimContext {
 
   /// The signal board itself (word-parallel consumers: statistics sweeps).
   const SignalBoard& board() const { return board_; }
+
+  // --- Node-state arena ------------------------------------------------------
+
+  /// The state record of a node whose kind keeps its sequential state in the
+  /// arena (Node::stateWords() > 0): the only copy of that state, read and
+  /// written by both backends. Records are laid out with the board (reset and
+  /// every topology or shard relayout, which keeps each surviving node's
+  /// record and starts a spliced-in node from its reset record), so a node
+  /// is addressable from the first settle/edge after it joined the netlist.
+  /// The mutable overload is the kernels' unchecked hot path; the const one,
+  /// for reads from outside a cycle, checks that the node has a record.
+  std::uint64_t* state(const Node& node) {
+    return state_.data() + stateOff_[node.id()];
+  }
+  const std::uint64_t* state(const Node& node) const {
+    ESL_CHECK(node.id() < stateOff_.size() && stateOff_[node.id()] != kNoState,
+              "SimContext::state: node '" + node.name() +
+                  "' has no state record (no arena state, or added after the "
+                  "last settle/reset)");
+    return state_.data() + stateOff_[node.id()];
+  }
 
   // --- Nondeterministic choices ---------------------------------------------
 
@@ -456,8 +480,9 @@ class SimContext {
   /// shard scans its interior plane range unfiltered (interior endpoints are
   /// owned by construction) plus the shared boundary region filtered by
   /// ownership, then runs `clock` on only its own nodes. clock(id) must write
-  /// node-local state only, so the only shared writes are the
-  /// ownership-filtered (word-exclusive) edge-mark bitmap.
+  /// only node id's own state (its arena record, its object), so the only
+  /// shared writes are the ownership-filtered (word-exclusive) edge-mark
+  /// bitmap.
   template <typename Clock>
   void edgeShardedWith(const Clock& clock) {
     const std::uint64_t gen = ++edgeGen_;
@@ -507,11 +532,11 @@ class SimContext {
   /// Runs fn(shard) on the executor, one worker lane per shard (type-erased
   /// so the kernel-loop templates stay free of the executor header).
   void parallelShards(const std::function<void(unsigned)>& fn);
-  /// Publishes the compiled backend's node-state arena into the node objects
-  /// (no-op without a VM or with a clean arena). Every interpreted read of
-  /// node state — the sweep/interpreted kernels, packState, the audits —
-  /// goes through this first.
-  void flushCompiledState() const;
+  /// Lays out the node-state arena for liveNodes_/plan_ (see state()).
+  void layoutState();
+  /// One node's snapshot bytes: its arena record, or its own packState().
+  void packNode(const Node& node, StateWriter& w) const;
+  void unpackNode(Node& node, StateReader& r);
   /// Serializes every live node's state (shared tail of packState and
   /// packStateInto; the former prepends the versioned snapshot header).
   void packNodeState(StateWriter& w) const;
@@ -596,6 +621,13 @@ class SimContext {
   // Compiled backend: bytecode VM over the board arena (compile/vm.h).
   Backend backend_ = Backend::kInterpreted;
   std::unique_ptr<compile::Vm> vm_;
+
+  // Node-state arena: one u64 record per arena-backed node, in live-node
+  // order; under sharding each shard's first record starts on a cache line,
+  // so shard workers never false-share a record across a slice border.
+  static constexpr std::uint32_t kNoState = ~std::uint32_t{0};
+  std::vector<std::uint64_t> state_;
+  std::vector<std::uint32_t> stateOff_;  ///< NodeId -> record offset, or kNoState
 
   // Per-topology caches (live ids, seed set, channel persistence), refreshed
   // whenever the netlist's topologyVersion moves (or the shard count does).

@@ -9,14 +9,10 @@ EarlyEvalMux::EarlyEvalMux(std::string name, unsigned dataInputs, unsigned selWi
   declareInput(selWidth);  // input 0: select
   for (unsigned i = 0; i < dataInputs; ++i) declareInput(width);
   declareOutput(width);
-  pendingAnti_.assign(dataInputs, 0);
 }
 
-void EarlyEvalMux::reset() {
-  pendingAnti_.assign(dataInputs_, 0);
-}
-
-EarlyEvalMux::CombView EarlyEvalMux::view(SimContext& ctx) const {
+EarlyEvalMux::CombView EarlyEvalMux::view(SimContext& ctx,
+                                          const std::uint64_t* s) const {
   CombView v;
   const ConstSig sel = ctx.sig(selectChannel());
   v.selValid = sel.vf();
@@ -29,23 +25,20 @@ EarlyEvalMux::CombView EarlyEvalMux::view(SimContext& ctx) const {
 
   // The selected token is usable only if it is not owed to a pending
   // anti-token from an earlier firing.
-  const bool usable = v.selValid && pendingAnti_[v.selIdx] == 0 &&
-                      ctx.sig(dataChannel(v.selIdx)).vf();
+  const bool usable =
+      v.selValid && s[v.selIdx] == 0 && ctx.sig(dataChannel(v.selIdx)).vf();
   const ConstSig out = ctx.sig(output(0));
   v.fire = usable && (!out.sf() || out.vb());
-
-  v.antiAvail.resize(dataInputs_);
-  for (unsigned i = 0; i < dataInputs_; ++i)
-    v.antiAvail[i] = pendingAnti_[i] + ((v.fire && i != v.selIdx) ? 1u : 0u);
   return v;
 }
 
 void EarlyEvalMux::evalComb(SimContext& ctx) {
-  const CombView v = view(ctx);
+  const std::uint64_t* s = ctx.state(*this);
+  const CombView v = view(ctx, s);
   Sig out = ctx.sig(output(0));
   Sig sel = ctx.sig(selectChannel());
 
-  const bool usable = v.selValid && pendingAnti_[v.selIdx] == 0 &&
+  const bool usable = v.selValid && s[v.selIdx] == 0 &&
                       ctx.sig(dataChannel(v.selIdx)).vf();
   out.setVf(usable);
   if (usable) out.setDataFrom(ctx.sig(dataChannel(v.selIdx)));
@@ -57,7 +50,7 @@ void EarlyEvalMux::evalComb(SimContext& ctx) {
 
   for (unsigned i = 0; i < dataInputs_; ++i) {
     Sig in = ctx.sig(dataChannel(i));
-    const bool anti = v.antiAvail[i] > 0;
+    const bool anti = antiAvail(v, s, i) > 0;
     in.setVb(anti);
     if (anti) {
       in.setSf(false);  // kill and stop are mutually exclusive
@@ -75,26 +68,28 @@ void EarlyEvalMux::evalComb(SimContext& ctx) {
 }
 
 void EarlyEvalMux::clockEdge(SimContext& ctx) {
-  const CombView v = view(ctx);
+  std::uint64_t* s = ctx.state(*this);
+  const CombView v = view(ctx, s);
   for (unsigned i = 0; i < dataInputs_; ++i) {
     const ConstSig in = ctx.sig(dataChannel(i));
-    unsigned avail = v.antiAvail[i];
+    std::uint64_t avail = antiAvail(v, s, i);
     if (in.vb() && (in.vf() || !in.sb())) {
       ESL_ASSERT(avail > 0);
       --avail;  // delivered: killed a token or moved upstream
     }
     if (v.fire && i != v.selIdx) ++antiEmitted_;
-    pendingAnti_[i] = avail;
+    s[i] = avail;
   }
   if (fwdTransfer(ctx.sig(output(0)))) ++firings_;
 }
 
-void EarlyEvalMux::packState(StateWriter& w) const {
-  for (unsigned p : pendingAnti_) w.writeU32(p);
+void EarlyEvalMux::packRecord(const std::uint64_t* s, StateWriter& w) const {
+  for (unsigned i = 0; i < dataInputs_; ++i)
+    w.writeU32(static_cast<std::uint32_t>(s[i]));
 }
 
-void EarlyEvalMux::unpackState(StateReader& r) {
-  for (unsigned& p : pendingAnti_) p = r.readU32();
+void EarlyEvalMux::unpackRecord(std::uint64_t* s, StateReader& r) const {
+  for (unsigned i = 0; i < dataInputs_; ++i) s[i] = r.readU32();
 }
 
 logic::Cost EarlyEvalMux::cost() const {

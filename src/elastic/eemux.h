@@ -28,15 +28,16 @@ class EarlyEvalMux : public Node {
   EarlyEvalMux(std::string name, unsigned dataInputs, unsigned selWidth,
                unsigned width);
 
-  void reset() override;
   void evalComb(SimContext& ctx) override;
   EvalPurity evalPurity() const override { return EvalPurity::kStateful; }
-  /// pendingAnti_ grows only on firings (output transfer/kill events) and
-  /// shrinks only on input kill/backward-transfer events.
+  /// Pending anti-tokens grow only on firings (output transfer/kill events)
+  /// and shrink only on input kill/backward-transfer events.
   EdgeActivity edgeActivity() const override { return EdgeActivity::kOnEvents; }
   void clockEdge(SimContext& ctx) override;
-  void packState(StateWriter& w) const override;
-  void unpackState(StateReader& r) override;
+  /// Arena record: word i counts the anti-tokens still owed to data input i.
+  std::uint32_t stateWords() const override { return dataInputs_; }
+  void packRecord(const std::uint64_t* s, StateWriter& w) const override;
+  void unpackRecord(std::uint64_t* s, StateReader& r) const override;
   logic::Cost cost() const override;
   void timing(TimingModel& m) const override;
   std::string kindName() const override { return "ee-mux"; }
@@ -57,13 +58,16 @@ class EarlyEvalMux : public Node {
     bool selValid = false;
     unsigned selIdx = 0;
     bool fire = false;
-    std::vector<unsigned> antiAvail;
   };
-  CombView view(SimContext& ctx) const;
+  CombView view(SimContext& ctx, const std::uint64_t* s) const;
+  /// Anti-tokens input i owes this cycle: pending plus this firing's.
+  static std::uint64_t antiAvail(const CombView& v, const std::uint64_t* s,
+                                 unsigned i) {
+    return s[i] + ((v.fire && i != v.selIdx) ? 1u : 0u);
+  }
 
   unsigned dataInputs_;
   unsigned width_;
-  std::vector<unsigned> pendingAnti_;
   std::uint64_t firings_ = 0;
   std::uint64_t antiEmitted_ = 0;
 };

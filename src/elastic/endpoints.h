@@ -44,8 +44,10 @@ class TokenSource : public Node {
     return gate_ ? EdgeActivity::kEveryCycle : EdgeActivity::kOnEvents;
   }
   void clockEdge(SimContext& ctx) override;
-  void packState(StateWriter& w) const override;
-  void unpackState(StateReader& r) override;
+  std::uint32_t stateWords() const override { return 2; }
+  void resetRecord(std::uint64_t* s) const override;
+  void packRecord(const std::uint64_t* s, StateWriter& w) const override;
+  void unpackRecord(std::uint64_t* s, StateReader& r) const override;
   void timing(TimingModel& m) const override;
   Persistence outputPersistence(unsigned) const override {
     return Persistence::kPersistent;
@@ -60,13 +62,15 @@ class TokenSource : public Node {
 
   std::optional<BitVec> tokenAt(std::uint64_t index) const;
 
+  // Arena record: [kIndex] stream index of the next token, [kOffer] offering
+  // | owed kills (absorbed anti-tokens) << 32.
+  static constexpr std::uint32_t kIndex = 0;
+  static constexpr std::uint32_t kOffer = 1;
+
   unsigned width_;
   Generator gen_;
   Gate gate_;
 
-  std::uint64_t index_ = 0;
-  bool offering_ = false;
-  unsigned killCredit_ = 0;
   std::uint64_t emitted_ = 0;
   std::uint64_t killedCount_ = 0;
 
@@ -101,8 +105,10 @@ class TokenSink : public Node {
     return static_cast<bool>(ready_) || static_cast<bool>(antiGate_);
   }
   void clockEdge(SimContext& ctx) override;
-  void packState(StateWriter& w) const override;
-  void unpackState(StateReader& r) override;
+  std::uint32_t stateWords() const override { return 1; }
+  void resetRecord(std::uint64_t* s) const override;
+  void packRecord(const std::uint64_t* s, StateWriter& w) const override;
+  void unpackRecord(std::uint64_t* s, StateReader& r) const override;
   void timing(TimingModel& m) const override;
   std::string kindName() const override { return "sink"; }
 
@@ -123,13 +129,15 @@ class TokenSink : public Node {
  private:
   friend class compile::Vm;
 
+  // Arena record: [kAnti] anti-token in flight (Retry-) | anti-tokens left
+  // in the budget << 32.
+  static constexpr std::uint32_t kAnti = 0;
+
   unsigned width_;
   Gate ready_;
   Gate antiGate_;
   unsigned antiBudget_;
 
-  unsigned antiRemaining_ = 0;
-  bool antiActive_ = false;
   std::vector<Transfer> transfers_;
 };
 
@@ -144,12 +152,12 @@ class NondetSource : public Node {
   NondetSource(std::string name, unsigned width, unsigned killCreditCap = 2,
                unsigned dataBits = 0, unsigned maxIdle = 2);
 
-  void reset() override;
   void evalComb(SimContext& ctx) override;
   EvalPurity evalPurity() const override { return EvalPurity::kStateDriven; }
   void clockEdge(SimContext& ctx) override;
-  void packState(StateWriter& w) const override;
-  void unpackState(StateReader& r) override;
+  std::uint32_t stateWords() const override { return kValue + payloadWords(width_); }
+  void packRecord(const std::uint64_t* s, StateWriter& w) const override;
+  void unpackRecord(std::uint64_t* s, StateReader& r) const override;
   unsigned choiceCount() const override { return 1 + dataBits_; }
   Persistence outputPersistence(unsigned) const override {
     return Persistence::kPersistent;
@@ -164,17 +172,19 @@ class NondetSource : public Node {
  private:
   friend class compile::Vm;
 
-  bool offeringNow(SimContext& ctx) const;
-  BitVec valueNow(SimContext& ctx) const;
+  bool offeringNow(SimContext& ctx, const std::uint64_t* s) const;
+  BitVec valueNow(SimContext& ctx, const std::uint64_t* s) const;
+
+  // Arena record: [kOffer] token held (Retry+), [kCredit] owed kills | idle
+  // streak << 32, then the held token's payload (zero when not held).
+  static constexpr std::uint32_t kOffer = 0;
+  static constexpr std::uint32_t kCredit = 1;
+  static constexpr std::uint32_t kValue = 2;
 
   unsigned width_;
   unsigned cap_;
   unsigned dataBits_;
   unsigned maxIdle_;
-  bool offering_ = false;
-  BitVec value_;
-  unsigned killCredit_ = 0;
-  unsigned idleStreak_ = 0;
 };
 
 /// Verification sink: nondeterministically stops (1 choice bit), but at most
@@ -185,12 +195,12 @@ class NondetSink : public Node {
   NondetSink(std::string name, unsigned width, unsigned maxConsecutiveStops = 2,
              bool emitsAntiTokens = false);
 
-  void reset() override;
   void evalComb(SimContext& ctx) override;
   EvalPurity evalPurity() const override { return EvalPurity::kStateDriven; }
   void clockEdge(SimContext& ctx) override;
-  void packState(StateWriter& w) const override;
-  void unpackState(StateReader& r) override;
+  std::uint32_t stateWords() const override { return 1; }
+  void packRecord(const std::uint64_t* s, StateWriter& w) const override;
+  void unpackRecord(std::uint64_t* s, StateReader& r) const override;
   unsigned choiceCount() const override { return emitsAnti_ ? 2u : 1u; }
   std::string kindName() const override { return "nondet-sink"; }
 
@@ -201,14 +211,16 @@ class NondetSink : public Node {
  private:
   friend class compile::Vm;
 
-  bool stopNow(SimContext& ctx) const;
-  bool antiNow(SimContext& ctx) const;
+  bool stopNow(SimContext& ctx, const std::uint64_t* s) const;
+  bool antiNow(SimContext& ctx, const std::uint64_t* s) const;
+
+  // Arena record: [kStops] anti-token in flight (Retry-) | consecutive stops
+  // << 32.
+  static constexpr std::uint32_t kStops = 0;
 
   unsigned width_;
   unsigned maxStops_;
   bool emitsAnti_;
-  unsigned consecutiveStops_ = 0;
-  bool antiActive_ = false;
 };
 
 }  // namespace esl

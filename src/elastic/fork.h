@@ -19,14 +19,15 @@ class ForkNode : public Node {
  public:
   ForkNode(std::string name, unsigned width, unsigned branches);
 
-  void reset() override;
   void evalComb(SimContext& ctx) override;
   EvalPurity evalPurity() const override { return EvalPurity::kStateful; }
-  /// done_ bits set on branch events and clear on the stem transfer event.
+  /// Done bits set on branch events and clear on the stem transfer event.
   EdgeActivity edgeActivity() const override { return EdgeActivity::kOnEvents; }
   void clockEdge(SimContext& ctx) override;
-  void packState(StateWriter& w) const override;
-  void unpackState(StateReader& r) override;
+  /// Arena record: one done bit per branch, 64 branches per word.
+  std::uint32_t stateWords() const override { return (branches() + 63) / 64; }
+  void packRecord(const std::uint64_t* s, StateWriter& w) const override;
+  void unpackRecord(std::uint64_t* s, StateReader& r) const override;
   logic::Cost cost() const override;
   void timing(TimingModel& m) const override;
   std::string kindName() const override { return "fork"; }
@@ -36,11 +37,15 @@ class ForkNode : public Node {
  private:
   friend class compile::Vm;
 
-  /// Branch copy consumed this cycle (settled signals).
-  bool branchDoneNow(SimContext& ctx, unsigned i, bool inVf) const;
+  /// Branch i's copy was consumed in an earlier cycle of this stem token.
+  static bool done(const std::uint64_t* s, unsigned i) {
+    return (s[i / 64] >> (i % 64)) & 1;
+  }
+  /// Branch copy consumed by the end of this cycle (settled signals).
+  bool branchDoneNow(SimContext& ctx, const std::uint64_t* s, unsigned i,
+                     bool inVf) const;
 
   unsigned width_;
-  std::vector<bool> done_;
 };
 
 }  // namespace esl

@@ -27,7 +27,8 @@ class SimContext;
 namespace compile {
 /// Bytecode VM of the compiled backend (compile/vm.h). A friend of the node
 /// catalog: its specialized ops transcribe each node's evalComb/clockEdge
-/// over raw board addresses, reading the same private state.
+/// over raw board addresses and the same arena records, using each kind's
+/// private record layout and configuration.
 class Vm;
 }  // namespace compile
 
@@ -180,6 +181,22 @@ class Node {
   /// Sequential state serialization (model checker). Statistics excluded.
   virtual void packState(StateWriter& w) const { (void)w; }
   virtual void unpackState(StateReader& r) { (void)r; }
+
+  /// Sequential state kept in the SimContext's node-state arena — its one
+  /// home for the interpreted and the compiled backend alike. A kind that
+  /// needs a nonzero number of u64 words (a function of its configuration
+  /// and port widths) gets a record of that size: the context lays it out,
+  /// keeps it across relayouts, starts it from resetRecord() (handed a zeroed
+  /// record) and serializes it through packRecord()/unpackRecord(); the
+  /// node's evalComb/clockEdge reach it through ctx.state(*this). Such a kind
+  /// keeps only configuration, statistics and caches on the object: its
+  /// reset() clears statistics, and packState()/unpackState() stay unused.
+  /// The default (0 words) leaves state on the node object, handled by
+  /// reset()/packState()/unpackState() above.
+  virtual std::uint32_t stateWords() const { return 0; }
+  virtual void resetRecord(std::uint64_t* /*s*/) const {}
+  virtual void packRecord(const std::uint64_t* /*s*/, StateWriter& /*w*/) const {}
+  virtual void unpackRecord(std::uint64_t* /*s*/, StateReader& /*r*/) const {}
 
   /// Number of per-cycle nondeterministic binary choices this node consumes
   /// (environments only; deterministic blocks return 0).

@@ -37,14 +37,6 @@ void addPrefixed(Params& dst, const std::string& key, const Params& src) {
   for (const auto& [k, v] : src.entries()) dst.set(key + "." + k, v);
 }
 
-bool endsWithPortRef(const std::string& name, const std::string& tag) {
-  const std::size_t at = name.rfind(tag);
-  if (at == std::string::npos || at + tag.size() >= name.size()) return false;
-  for (std::size_t i = at + tag.size(); i < name.size(); ++i)
-    if (name[i] < '0' || name[i] > '9') return false;
-  return true;
-}
-
 // --- core named functions ---------------------------------------------------
 
 void requireUnary(const FnSig& sig, const std::string& what, bool sameWidth = true) {
@@ -167,9 +159,8 @@ void registerCoreScheds(Registry& r) {
     return std::make_unique<sched::TimeoutScheduler>(
         k, static_cast<unsigned>(p.u64(pfx + "timeout", 1)));
   });
-  r.addSched("bounded-fair", [](unsigned k, const Params& p, const std::string& pfx) {
-    return std::make_unique<sched::BoundedFairScheduler>(
-        k, static_cast<unsigned>(p.u64(pfx + "defer", 1)));
+  r.addSched("bounded-fair", [](unsigned k, const Params&, const std::string&) {
+    return std::make_unique<sched::BoundedFairScheduler>(k);
   });
   r.addSched("starving", [](unsigned k, const Params&, const std::string&) {
     return std::make_unique<sched::StarvingScheduler>(k);
@@ -528,9 +519,8 @@ bool Registry::describeScheduler(const sched::Scheduler& s, Params& out,
     if (t->timeout() != 1) out.setU64(key + ".timeout", t->timeout());
     return true;
   }
-  if (const auto* b = dynamic_cast<const sched::BoundedFairScheduler*>(&s)) {
+  if (dynamic_cast<const sched::BoundedFairScheduler*>(&s) != nullptr) {
     out.set(key, "bounded-fair");
-    if (b->maxDefer() != 1) out.setU64(key + ".defer", b->maxDefer());
     return true;
   }
   if (dynamic_cast<const sched::StarvingScheduler*>(&s) != nullptr) {
@@ -552,9 +542,20 @@ void validateIrToken(const std::string& name, const std::string& what) {
   }
 }
 
+bool endsInEndpointRef(const std::string& name) {
+  const auto endsWith = [&](const std::string& tag) {
+    const std::size_t at = name.rfind(tag);
+    if (at == std::string::npos || at + tag.size() >= name.size()) return false;
+    for (std::size_t i = at + tag.size(); i < name.size(); ++i)
+      if (name[i] < '0' || name[i] > '9') return false;
+    return true;
+  };
+  return endsWith(".out") || endsWith(".in");
+}
+
 void validateIrName(const std::string& name, const std::string& what) {
   validateIrToken(name, what);
-  if (endsWithPortRef(name, ".out") || endsWithPortRef(name, ".in"))
+  if (endsInEndpointRef(name))
     throw NetlistError(what + " '" + name +
                        "': must not end in .out<N>/.in<N> (reserved for "
                        "channel endpoint references)");

@@ -161,8 +161,12 @@ std::function<BitVec(const BitVec&)> unaryAdapter(CombFn fn);
 /// and `[A-Za-z0-9._@-]` only (channel names, attribute values).
 void validateIrToken(const std::string& name, const std::string& what);
 
-/// validateIrToken plus the node-name rule: must not end in `.out<digits>` /
-/// `.in<digits>`, which would be ambiguous with channel endpoint references.
+/// True when `name` ends in `.out<digits>` / `.in<digits>`, the form of a
+/// channel endpoint reference (and of a default channel name).
+bool endsInEndpointRef(const std::string& name);
+
+/// validateIrToken plus the node-name rule: must not end in an endpoint
+/// reference (endsInEndpointRef), which would be ambiguous in the IR.
 void validateIrName(const std::string& name, const std::string& what);
 
 // ---------------------------------------------------------------------------

@@ -1,9 +1,18 @@
-// Byte-oriented serialization of node state.
+// Byte-oriented serialization of node state, and the word layout of the
+// state records that SimContext keeps in its node-state arena.
 //
 // The explicit-state model checker (src/verify) snapshots the entire netlist
 // state as a byte string; nodes pack and unpack their sequential state through
 // these helpers. Performance statistics must NOT be packed (they would blow up
 // the reachable state space without changing behaviour).
+//
+// Catalog node kinds keep their sequential state in u64 records of the
+// context's arena (Node::stateWords()). A payload of width w takes
+// payloadWords(w) consecutive words, least significant word first — one word
+// up to 64 bits, zero-width tokens included, so narrow records have a fixed
+// shape the compiled VM addresses directly. Records serialize their payloads
+// through loadPayload/storePayload and writeBitVec/readBitVec, so a record
+// packs to the same snapshot bytes a BitVec field would.
 #pragma once
 
 #include <cstdint>
@@ -13,6 +22,46 @@
 #include "base/error.h"
 
 namespace esl {
+
+// --- arena record words --------------------------------------------------------
+
+/// Words one payload of `width` bits takes in a state record.
+inline std::uint32_t payloadWords(unsigned width) {
+  return width <= 64 ? 1 : (width + 63) / 64;
+}
+
+/// The `width`-bit payload stored at `p` (stored words are already masked).
+inline BitVec loadPayload(const std::uint64_t* p, unsigned width) {
+  if (width <= 64) {
+    BitVec v;
+    if (width != 0) v.assignNarrow(width, p[0]);
+    return v;
+  }
+  BitVec v(width);
+  for (unsigned i = 0; i < width; i += 64)
+    v.depositBits(i, p[i / 64], width - i < 64 ? width - i : 64);
+  return v;
+}
+
+/// Stores `v` at `p`; its width must be the record's payload width.
+inline void storePayload(std::uint64_t* p, const BitVec& v, unsigned width) {
+  ESL_CHECK(v.width() == width, "state record: payload width mismatch");
+  if (width <= 64) {
+    p[0] = width == 0 ? 0 : v.word0();
+    return;
+  }
+  for (unsigned i = 0; i < width; i += 64)
+    p[i / 64] = v.extractBits(i, width - i < 64 ? width - i : 64);
+}
+
+/// Two u32 fields packed into one record word (lo in the low half).
+inline std::uint64_t pack32(std::uint32_t lo, std::uint32_t hi) {
+  return static_cast<std::uint64_t>(lo) | (static_cast<std::uint64_t>(hi) << 32);
+}
+inline std::uint32_t lo32(std::uint64_t w) { return static_cast<std::uint32_t>(w); }
+inline std::uint32_t hi32(std::uint64_t w) {
+  return static_cast<std::uint32_t>(w >> 32);
+}
 
 class StateWriter {
  public:

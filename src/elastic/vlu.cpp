@@ -20,62 +20,75 @@ StallingVLU::StallingVLU(std::string name, unsigned inWidth, unsigned outWidth,
 }
 
 void StallingVLU::reset() {
-  pending_.reset();
-  result_.reset();
   completed_ = 0;
   stalls_ = 0;
 }
 
 void StallingVLU::evalComb(SimContext& ctx) {
+  const std::uint64_t* s = ctx.state(*this);
   Sig in = ctx.sig(input(0));
   Sig out = ctx.sig(output(0));
 
-  const bool haveResult = result_.has_value();
+  const bool haveResult = (s[kFlags] & kResult) != 0;
   out.setVf(haveResult);
-  if (haveResult) out.setData(*result_);
+  if (haveResult) out.setData(loadPayload(s + resultOff(), outWidth_));
   out.setSb(!haveResult);  // anti-token consumed only against a result
 
   const bool leave = haveResult && (!out.sf() || out.vb());
-  const bool canAccept = !pending_ && (!haveResult || leave);
+  const bool canAccept = (s[kFlags] & kPending) == 0 && (!haveResult || leave);
   in.setSf(!canAccept);
   in.setVb(false);
 }
 
 void StallingVLU::clockEdge(SimContext& ctx) {
+  std::uint64_t* s = ctx.state(*this);
   const ConstSig in = ctx.sig(input(0));
   const ConstSig out = ctx.sig(output(0));
+  bool hasPending = (s[kFlags] & kPending) != 0;
+  bool hasResult = (s[kFlags] & kResult) != 0;
 
   if (killEvent(out) || fwdTransfer(out)) {
     if (fwdTransfer(out)) ++completed_;
-    result_.reset();
+    hasResult = false;
   }
 
-  if (pending_) {
+  if (hasPending) {
     // Second cycle of a mispredicted operand: F_exact finishes the job.
-    ESL_ASSERT(!result_.has_value());
-    result_ = exact_(*pending_);
-    pending_.reset();
+    ESL_ASSERT(!hasResult);
+    storePayload(s + resultOff(), exact_(loadPayload(s + kPendingOff, inWidth_)),
+                 outWidth_);
+    hasResult = true;
+    hasPending = false;
   } else if (fwdTransfer(in)) {
     const BitVec x = in.data();
     if (err_(x)) {
-      pending_ = x;  // bubble next cycle, sender stalled
+      storePayload(s + kPendingOff, x, inWidth_);  // bubble next cycle, sender stalled
+      hasPending = true;
       ++stalls_;
     } else {
-      result_ = exact_(x);  // approx == exact when no error is flagged
+      // approx == exact when no error is flagged
+      storePayload(s + resultOff(), exact_(x), outWidth_);
+      hasResult = true;
     }
   }
+  s[kFlags] = (hasPending ? kPending : 0) | (hasResult ? kResult : 0);
 }
 
-void StallingVLU::packState(StateWriter& w) const {
-  w.writeBool(pending_.has_value());
-  if (pending_) w.writeBitVec(*pending_);
-  w.writeBool(result_.has_value());
-  if (result_) w.writeBitVec(*result_);
+void StallingVLU::packRecord(const std::uint64_t* s, StateWriter& w) const {
+  const bool hasPending = (s[kFlags] & kPending) != 0;
+  const bool hasResult = (s[kFlags] & kResult) != 0;
+  w.writeBool(hasPending);
+  if (hasPending) w.writeBitVec(loadPayload(s + kPendingOff, inWidth_));
+  w.writeBool(hasResult);
+  if (hasResult) w.writeBitVec(loadPayload(s + resultOff(), outWidth_));
 }
 
-void StallingVLU::unpackState(StateReader& r) {
-  pending_ = r.readBool() ? std::optional<BitVec>(r.readBitVec()) : std::nullopt;
-  result_ = r.readBool() ? std::optional<BitVec>(r.readBitVec()) : std::nullopt;
+void StallingVLU::unpackRecord(std::uint64_t* s, StateReader& r) const {
+  const bool hasPending = r.readBool();
+  if (hasPending) storePayload(s + kPendingOff, r.readBitVec(), inWidth_);
+  const bool hasResult = r.readBool();
+  if (hasResult) storePayload(s + resultOff(), r.readBitVec(), outWidth_);
+  s[kFlags] = (hasPending ? kPending : 0) | (hasResult ? kResult : 0);
 }
 
 logic::Cost StallingVLU::cost() const {

@@ -9,8 +9,6 @@
 // gating, which the timing model charges via controlGatingCost().
 #pragma once
 
-#include <optional>
-
 #include "elastic/context.h"
 #include "elastic/node.h"
 
@@ -31,8 +29,11 @@ class StallingVLU : public Node {
   void evalComb(SimContext& ctx) override;
   EvalPurity evalPurity() const override { return EvalPurity::kStateful; }
   void clockEdge(SimContext& ctx) override;
-  void packState(StateWriter& w) const override;
-  void unpackState(StateReader& r) override;
+  std::uint32_t stateWords() const override {
+    return resultOff() + payloadWords(outWidth_);
+  }
+  void packRecord(const std::uint64_t* s, StateWriter& w) const override;
+  void unpackRecord(std::uint64_t* s, StateReader& r) const override;
   logic::Cost cost() const override;
   void timing(TimingModel& m) const override;
   void flowEdges(std::vector<FlowEdge>& out) const override;
@@ -47,6 +48,15 @@ class StallingVLU : public Node {
  private:
   friend class compile::Vm;
 
+  // Arena record: [kFlags] kPending | kResult, then the operand needing its
+  // second cycle (from kPendingOff) and the completed result awaiting
+  // transfer (from resultOff()).
+  static constexpr std::uint32_t kFlags = 0;
+  static constexpr std::uint32_t kPendingOff = 1;
+  static constexpr std::uint64_t kPending = 1;
+  static constexpr std::uint64_t kResult = 2;
+  std::uint32_t resultOff() const { return kPendingOff + payloadWords(inWidth_); }
+
   unsigned inWidth_;
   unsigned outWidth_;
   UnaryFn exact_;
@@ -55,8 +65,6 @@ class StallingVLU : public Node {
   logic::Cost exactCost_;
   logic::Cost errCost_;
 
-  std::optional<BitVec> pending_;  // operand needing its second cycle
-  std::optional<BitVec> result_;   // completed result awaiting transfer
   std::uint64_t completed_ = 0;
   std::uint64_t stalls_ = 0;
 };

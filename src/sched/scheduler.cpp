@@ -162,10 +162,8 @@ void TimeoutScheduler::observeBase(const Observation& obs) {
 
 // --- BoundedFairScheduler ---------------------------------------------------
 
-BoundedFairScheduler::BoundedFairScheduler(unsigned channels, unsigned maxDefer)
-    : channels_(channels), maxDefer_(maxDefer) {
+BoundedFairScheduler::BoundedFairScheduler(unsigned channels) : channels_(channels) {
   ESL_CHECK(channels >= 1, "BoundedFairScheduler: need at least one channel");
-  (void)maxDefer_;
 }
 
 unsigned BoundedFairScheduler::basePredict(const std::vector<bool>&,

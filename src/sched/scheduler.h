@@ -243,14 +243,14 @@ class TimeoutScheduler : public CorrectingScheduler {
 };
 
 /// Nondeterministic scheduler with bounded-fairness demand correction: free
-/// choice each cycle, but a demand outstanding for `maxDefer` cycles forces
-/// the prediction to that channel. Used by the verifier as an executable
-/// over-approximation of "any scheduler satisfying the leads-to property".
+/// choice each cycle, but an outstanding demand locks the prediction onto
+/// that channel at once (CorrectingScheduler). Used by the verifier as an
+/// executable over-approximation of "any scheduler satisfying the leads-to
+/// property".
 class BoundedFairScheduler : public CorrectingScheduler {
  public:
-  explicit BoundedFairScheduler(unsigned channels, unsigned maxDefer = 1);
+  explicit BoundedFairScheduler(unsigned channels);
   unsigned channels() const override { return channels_; }
-  unsigned maxDefer() const { return maxDefer_; }
   unsigned choiceBits() const override;
   std::string name() const override { return "bounded-fair"; }
 
@@ -259,7 +259,6 @@ class BoundedFairScheduler : public CorrectingScheduler {
 
  private:
   unsigned channels_;
-  unsigned maxDefer_;  // retained for interface compatibility (lock is immediate)
 };
 
 /// Deliberately unfair: ignores demands and always predicts channel 0.

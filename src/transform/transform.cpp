@@ -27,12 +27,25 @@ FuncNode& requireUnaryFunc(Netlist& nl, NodeId id) {
   return *f;
 }
 
+/// "bubble@<channel>", kept legal and unique: on a default-named channel
+/// ("F0.out0") the endpoint suffix's dot becomes '-' ("bubble@F0-out0"), since
+/// .esl node names must not end in an endpoint reference, and a name already
+/// taken gets "-2", "-3", ... appended.
+std::string defaultBubbleName(const Netlist& nl, ChannelId ch) {
+  std::string base = "bubble@" + nl.channel(ch).name;
+  if (endsInEndpointRef(base)) base[base.rfind('.')] = '-';
+  std::string name = base;
+  for (unsigned k = 2; nl.findNode(name) != nullptr; ++k)
+    name = base + "-" + std::to_string(k);
+  return name;
+}
+
 }  // namespace
 
 ElasticBuffer& insertBubble(Netlist& nl, ChannelId ch, std::string name) {
   if (!nl.hasChannel(ch)) throw TransformError("insertBubble: unknown channel");
   const unsigned width = nl.channel(ch).width;
-  if (name.empty()) name = "bubble@" + nl.channel(ch).name;
+  if (name.empty()) name = defaultBubbleName(nl, ch);
   auto& eb = nl.make<ElasticBuffer>(std::move(name), width);
   nl.insertOnChannel(ch, eb);
   return eb;

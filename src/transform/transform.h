@@ -27,7 +27,8 @@ namespace esl::transform {
 
 // --- Bubble insertion / removal (paper §2: always legal on any channel) -----
 
-/// Inserts an empty EB on `ch`. Returns the new node.
+/// Inserts an empty EB on `ch`. Returns the new node. The default name is
+/// "bubble@<channel>", adjusted to stay a legal, unique .esl node name.
 ElasticBuffer& insertBubble(Netlist& nl, ChannelId ch, std::string name = {});
 
 /// Removes an *empty* EB (inverse of insertBubble).

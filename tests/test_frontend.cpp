@@ -307,6 +307,14 @@ TEST(EslFormat, BuildRejectsUnknownKindsAttributesAndWiring) {
                NetlistError);
   // Unbound ports fail validate() (which reports through the base EslError).
   EXPECT_THROW(build("esl 1;\nnode eb x width=8;\n"), EslError);
+  // The bounded-fair scheduler takes no attributes: `defer` is unknown.
+  std::string table1 = slurp(goldenPath("table1"));
+  const std::size_t at = table1.find("sched=rr");
+  ASSERT_NE(at, std::string::npos);
+  table1.replace(at, 8, "sched=bounded-fair");
+  EXPECT_NO_THROW(build(table1));
+  table1.replace(at, 18, "sched=bounded-fair sched.defer=2");
+  EXPECT_THROW(build(table1), NetlistError);
 }
 
 TEST(EslFormat, AttributesSurviveVerbatimIncludingHex) {

@@ -158,7 +158,7 @@ TEST(TimeoutScheduler, ServiceResetsTheTimer) {
 }
 
 TEST(BoundedFairScheduler, ChoiceBitsDrivePrediction) {
-  BoundedFairScheduler s(2, 1);
+  BoundedFairScheduler s(2);
   EXPECT_EQ(s.choiceBits(), 1u);
   EXPECT_EQ(s.predict({}, [](unsigned) { return false; }), 0u);
   EXPECT_EQ(s.predict({}, [](unsigned) { return true; }), 1u);

@@ -253,6 +253,25 @@ TEST(ServeSession, SpoolRoundTripPreservesEveryReport) {
   EXPECT_EQ(a->snapshot(), b->snapshot());
 }
 
+TEST(ServeSession, SpoolRoundTripAfterBubbleOnDefaultNamedChannel) {
+  // A bubble on a default-named channel ("F0.out0", left by speculate) must
+  // keep the session spoolable: the spool record carries the design as .esl.
+  for (const auto& opts : {interpreted(), compiled(2)}) {
+    auto a = makeSession("fig1a", opts);
+    a->command("speculate mux F");
+    a->step(100);
+    EXPECT_EQ(a->command("bubble F0.out0"), "inserted bubble 'bubble@F0-out0'\n");
+    a->step(100);
+    auto b = SimSession::spoolLoad(a->spoolSave());
+    ASSERT_NE(b, nullptr);
+    EXPECT_EQ(b->cycle(), 200u);
+    a->step(300);
+    b->step(300);
+    EXPECT_EQ(a->report(), b->report());
+    EXPECT_EQ(a->snapshot(), b->snapshot());
+  }
+}
+
 TEST(ServeSession, SpoolLoadRejectsForeignRecords) {
   auto a = makeSession("fig1a");
   std::vector<std::uint8_t> record = a->spoolSave();

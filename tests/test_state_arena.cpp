@@ -1,15 +1,17 @@
-// VM-owned node-state arena: adopt/flush identity and sharded composition.
+// Node-state arena: record round trips and sharded composition.
 //
-// The compiled backend packs per-node sequential state (EB rings, fork done
-// bits, source cursors, ee-mux anti counters, VLU operands) into one
-// contiguous VM-owned arena (compile/vm.h). The node objects stay the
-// authoritative store whenever the VM is not mid-phase: every compiled phase
-// adopts node state lazily and flushState() publishes the arena back before
-// anything interprets it. These tests pin that protocol:
-//   * per-kind round trips: for every stateful node kind, a compiled run's
-//     packState() restored into a fresh compiled instance repacks byte-equal
-//     and resumes in lockstep — pack reads a freshly flushed arena, unpack
-//     invalidates it, the next phase re-adopts;
+// Every catalog node kind keeps its sequential state (EB rings, fork done
+// bits, source cursors, ee-mux anti counters, VLU operands) in one record of
+// the SimContext's node-state arena, read and written in place by both the
+// interpreted kernels and the compiled VM (compile/vm.h). These tests pin
+// the record formats and their users:
+//   * per-kind round trips: for every stateful node kind, a run's
+//     packState() restored into a fresh instance repacks byte-equal and
+//     resumes in lockstep — packRecord/unpackRecord are inverse on the
+//     serialized state, and the restored record drives the same future;
+//   * wide records (payloads of 65, 72 and 128 bits, forks of more than 64
+//     branches) on both backends: the VM leaves such nodes on the virtual
+//     path, which reads the same multi-word records;
 //   * three-way sweep/event/compiled lockstep with the arena active;
 //   * program-cache keying on the (topologyVersion, board layout) pair: a
 //     shard-count flip re-lays the board without a topology bump and must
@@ -24,11 +26,13 @@
 // arena records under real threads).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <string>
 #include <vector>
 
 #include "diff_kernels_util.h"
+#include "elastic/vlu.h"
 #include "netlist/patterns.h"
 #include "netlist/synth.h"
 #include "test_util.h"
@@ -43,17 +47,20 @@ sim::SimOptions compiledOpts() {
   return o;
 }
 
-/// Runs `build`'s netlist on the compiled backend; every cycle of the window,
-/// restores the live snapshot into a second compiled instance, requires the
-/// repack to be byte-equal (arena flush → node bytes → arena re-adopt is the
-/// identity), then steps both and requires them to stay equal (the snapshot
-/// header's cycle field keeps the probe's choice stream aligned).
-void expectArenaRoundTrip(const std::function<Netlist()>& build,
-                          std::uint64_t warmup, std::uint64_t window) {
+/// Runs `build`'s netlist on `backend`; every cycle of the window, restores
+/// the live snapshot into a second instance, requires the repack to be
+/// byte-equal (record → bytes → record is the identity), then steps both and
+/// requires them to stay equal (the snapshot header's cycle field keeps the
+/// probe's choice stream aligned).
+void expectArenaRoundTrip(const std::function<Netlist()>& build, std::uint64_t warmup,
+                          std::uint64_t window,
+                          SimContext::Backend backend = SimContext::Backend::kCompiled) {
+  sim::SimOptions opts = compiledOpts();
+  opts.backend = backend;
   Netlist liveNl = build();
-  sim::Simulator live(liveNl, compiledOpts());
+  sim::Simulator live(liveNl, opts);
   Netlist probeNl = build();
-  sim::Simulator probe(probeNl, compiledOpts());
+  sim::Simulator probe(probeNl, opts);
   live.run(warmup);
   for (std::uint64_t c = 0; c < window; ++c) {
     const std::vector<std::uint8_t> snap = live.ctx().packState();
@@ -172,6 +179,163 @@ TEST(StateArena, SpeculativeLoopFullCatalogRoundTrip) {
       23, 50);
 }
 
+/// Token `i` of a `width`-bit stream with every record word populated: a
+/// scrambled low word, the index in the high bits.
+std::optional<BitVec> wideToken(unsigned width, std::uint64_t i) {
+  BitVec v(width, i * 0x9E3779B97F4A7C15ULL);
+  for (unsigned lo = 64; lo < width; lo += 64)
+    v.depositBits(lo, i + lo, std::min(64u, width - lo));
+  return v;
+}
+
+constexpr SimContext::Backend kBothBackends[] = {
+    SimContext::Backend::kInterpreted, SimContext::Backend::kCompiled};
+
+/// src -> eb(cap 3) -> eb0 -> stalling VLU (~x) -> sink with back-pressure
+/// and anti-tokens: every record kind that stores a payload, at `width`.
+Netlist wideBufferChain(unsigned width) {
+  Netlist nl;
+  auto& src = nl.make<TokenSource>(
+      "src", width, [width](std::uint64_t i) { return wideToken(width, i); });
+  auto& eb = nl.make<ElasticBuffer>("eb", width, 3u);
+  auto& z = nl.make<ElasticBuffer0>("z", width);
+  auto& vlu = nl.make<StallingVLU>(
+      "vlu", width, width, [](const BitVec& x) { return ~x; },
+      [](const BitVec& x) { return x.bit(1); }, logic::Cost{}, logic::Cost{},
+      logic::Cost{});
+  auto& sink = nl.make<TokenSink>(
+      "sink", width, [](std::uint64_t c) { return hashChancePermille(c, 600, 5); },
+      /*antiBudget=*/3, [](std::uint64_t c) { return hashChancePermille(c, 150, 9); });
+  nl.connect(src, 0, eb, 0);
+  nl.connect(eb, 0, z, 0);
+  nl.connect(z, 0, vlu, 0);
+  nl.connect(vlu, 0, sink, 0);
+  return nl;
+}
+
+TEST(StateArena, WideBufferRecordsRoundTrip) {
+  // kEb/kEb0 records with multi-word payload slots (the ring mid-wrap under
+  // anti-tokens), and the VLU's pending/result operands.
+  for (const unsigned width : {65u, 72u, 128u}) {
+    for (const SimContext::Backend backend : kBothBackends) {
+      SCOPED_TRACE("width " + std::to_string(width));
+      expectArenaRoundTrip([width] { return wideBufferChain(width); }, 17, 50,
+                           backend);
+      // Every payload word survives the records: the sink sees ~token(i) for
+      // increasing i (anti-tokens kill some tokens on the way).
+      Netlist nl = wideBufferChain(width);
+      sim::SimOptions opts = compiledOpts();
+      opts.backend = backend;
+      sim::Simulator s(nl, opts);
+      s.run(120);
+      const auto& sink = dynamic_cast<const TokenSink&>(*nl.findNode("sink"));
+      ASSERT_GT(sink.received(), 10u);
+      std::uint64_t next = 0;
+      for (const TokenSink::Transfer& t : sink.transfers()) {
+        while (next < 200 && t.data != ~*wideToken(width, next)) ++next;
+        ASSERT_LT(next, 200u) << "payload " << t.data.toHex() << " at cycle "
+                              << t.cycle << " is no token of the stream";
+        ++next;
+      }
+    }
+  }
+}
+
+TEST(StateArena, WideNondetSourceRecordRoundTrips) {
+  // A held nondet token's value spans every payload word of the record.
+  for (const unsigned width : {65u, 72u, 128u}) {
+    for (const SimContext::Backend backend : kBothBackends) {
+      SCOPED_TRACE("width " + std::to_string(width));
+      expectArenaRoundTrip(
+          [width] {
+            Netlist nl;
+            auto& src = nl.make<NondetSource>("src", width, 2, /*dataBits=*/width);
+            auto& eb = nl.make<ElasticBuffer>("eb", width);
+            auto& sink = nl.make<NondetSink>("sink", width, 2, /*emitsAnti=*/true);
+            nl.connect(src, 0, eb, 0);
+            nl.connect(eb, 0, sink, 0);
+            return nl;
+          },
+          15, 50, backend);
+    }
+  }
+}
+
+/// src -> 70-branch fork -> 70 sinks of differing readiness.
+Netlist wideFork() {
+  Netlist nl;
+  auto& src = nl.make<TokenSource>("src", 8, TokenSource::counting(8));
+  auto& fork = nl.make<ForkNode>("fork", 8, 70);
+  nl.connect(src, 0, fork, 0);
+  for (unsigned b = 0; b < 70; ++b) {
+    auto& sink = nl.make<TokenSink>(
+        "sink" + std::to_string(b), 8,
+        [b](std::uint64_t c) { return hashChancePermille(c, 850 + b, 3 + b); });
+    nl.connect(fork, b, sink, 0);
+  }
+  return nl;
+}
+
+TEST(StateArena, ForkWiderThan64BranchesRoundTrips) {
+  // 70 branches: the done mask spans two record words.
+  for (const SimContext::Backend backend : kBothBackends) {
+    expectArenaRoundTrip(wideFork, 13, 50, backend);
+    // Every branch, the ones past the first mask word included, receives
+    // each stem token exactly once, in order.
+    Netlist nl = wideFork();
+    sim::SimOptions opts = compiledOpts();
+    opts.backend = backend;
+    sim::Simulator s(nl, opts);
+    s.run(100);
+    for (unsigned b = 0; b < 70; ++b) {
+      const auto& sink =
+          dynamic_cast<const TokenSink&>(*nl.findNode("sink" + std::to_string(b)));
+      ASSERT_GT(sink.received(), 5u) << "branch " << b;
+      EXPECT_EQ(test::receivedValues(sink), test::iota(sink.received()))
+          << "branch " << b;
+    }
+  }
+}
+
+TEST(StateArena, RelayoutKeepsRecordsAndSplicedNodesStartFromReset) {
+  // A node spliced in mid-run has no record until the next relayout, yet
+  // packState() already serializes it from its reset record; the relayout
+  // then keeps every surviving record and lays the new one out from reset.
+  const auto build = [](Netlist& nl) -> ChannelId {
+    auto& src = nl.make<TokenSource>("src", 8, TokenSource::counting(8));
+    auto& eb = nl.make<ElasticBuffer>("eb", 8, 3u);
+    auto& sink = nl.make<TokenSink>(
+        "sink", 8, [](std::uint64_t c) { return hashChancePermille(c, 400, 7); });
+    nl.connect(src, 0, eb, 0);
+    return nl.connect(eb, 0, sink, 0);
+  };
+  std::vector<std::uint8_t> finalStates[2];
+  for (const SimContext::Backend backend : kBothBackends) {
+    Netlist nl;
+    const ChannelId ch = build(nl);
+    sim::SimOptions opts = compiledOpts();
+    opts.backend = backend;
+    sim::Simulator s(nl, opts);
+    s.run(30);
+    const std::vector<std::uint8_t> before = s.ctx().packState();
+    const std::vector<BitVec> init{BitVec(8, 0xAB)};
+    nl.insertOnChannel(ch, nl.make<ElasticBuffer>("spliced", 8, 2u, init));
+    StateWriter reset;  // the new buffer's reset record: one token, no anti
+    reset.writeU32(1);
+    reset.writeBitVec(BitVec(8, 0xAB));
+    reset.writeU32(0);
+    std::vector<std::uint8_t> expected = before;
+    const std::vector<std::uint8_t> tail = reset.take();
+    expected.insert(expected.end(), tail.begin(), tail.end());
+    EXPECT_EQ(s.ctx().packState(), expected);
+    s.ctx().setShards(2);  // relayout without stepping
+    EXPECT_EQ(s.ctx().packState(), expected);
+    s.run(40);
+    finalStates[backend == SimContext::Backend::kCompiled] = s.ctx().packState();
+  }
+  EXPECT_EQ(finalStates[0], finalStates[1]);
+}
+
 TEST(StateArena, ThreeWayLockstepUnderArena) {
   // Sweep vs event vs compiled, packState after every cycle (the compiled
   // instance runs the arena; the oracle pair runs node objects).
@@ -283,8 +447,8 @@ TEST(StateArena, CompiledShardedNondetEnvironments) {
 }
 
 TEST(StateArena, CrossCheckAuditsThroughTheArena) {
-  // Cross-check mode flushes/adopts around every audit (reference settle,
-  // per-node edge replay); running clean is the assertion.
+  // Cross-check mode rewinds arena records around every audit (reference
+  // settle, per-node edge replay); running clean is the assertion.
   synth::SynthConfig cfg;
   cfg.topology = synth::Topology::kSpecLadder;
   cfg.targetNodes = 60;

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "elastic/registry.h"
+#include "frontend/esl_format.h"
 #include "netlist/patterns.h"
+#include "shell/session.h"
 #include "sim/equiv.h"
 #include "test_util.h"
 
@@ -61,6 +64,20 @@ TEST(InsertBubble, HalvesLoopThroughput) {
   sb.run(200);
   EXPECT_NEAR(sa.throughput(a.loopChannel), 1.0, 0.02);
   EXPECT_NEAR(sb.throughput(b.loopChannel), 0.5, 0.02);
+}
+
+TEST(InsertBubble, DefaultNameOnDefaultNamedChannelIsLegalAndUnique) {
+  // `speculate` leaves default-named channels ("F0.out0"). A bubble on one
+  // must get a node name the .esl rule accepts (none ending in .out<N>), or
+  // the design can no longer be saved, round-tripped or spooled.
+  shell::Session s;
+  s.execute("build fig1a");
+  s.execute("speculate mux F");
+  EXPECT_EQ(s.execute("bubble F0.out0"), "inserted bubble 'bubble@F0-out0'\n");
+  EXPECT_EQ(s.execute("bubble F0.out0"), "inserted bubble 'bubble@F0-out0-2'\n");
+  for (const char* name : {"bubble@F0-out0", "bubble@F0-out0-2"})
+    EXPECT_NO_THROW(validateIrName(name, "node name")) << name;
+  EXPECT_NO_THROW(frontend::checkRoundTrip(NetlistSpec::fromNetlist(*s.netlist())));
 }
 
 TEST(RemoveBubble, InverseOfInsert) {
