@@ -29,59 +29,20 @@ SlotAddr addrFor(const SignalBoard& board, ChannelId ch) {
 
 /// Exact-type kind resolution: a user *subclass* of a catalog node may
 /// override evalComb/clockEdge, so only a typeid match may specialize.
-OpCode classify(const Node& node, void** obj) {
-  const auto& t = typeid(node);
-  const auto as = [&](auto* p) {
-    *obj = const_cast<void*>(static_cast<const void*>(p));
-  };
-  if (t == typeid(ElasticBuffer)) {
-    as(static_cast<const ElasticBuffer*>(&node));
-    return OpCode::kEb;
-  }
-  if (t == typeid(ElasticBuffer0)) {
-    as(static_cast<const ElasticBuffer0*>(&node));
-    return OpCode::kEb0;
-  }
-  if (t == typeid(BrokenBuffer)) {
-    as(static_cast<const BrokenBuffer*>(&node));
-    return OpCode::kBrokenEb;
-  }
-  if (t == typeid(ForkNode)) {
-    as(static_cast<const ForkNode*>(&node));
-    return OpCode::kFork;
-  }
-  if (t == typeid(FuncNode)) {
-    as(static_cast<const FuncNode*>(&node));
-    return OpCode::kFunc;
-  }
-  if (t == typeid(EarlyEvalMux)) {
-    as(static_cast<const EarlyEvalMux*>(&node));
-    return OpCode::kEeMux;
-  }
-  if (t == typeid(TokenSource)) {
-    as(static_cast<const TokenSource*>(&node));
-    return OpCode::kSource;
-  }
-  if (t == typeid(TokenSink)) {
-    as(static_cast<const TokenSink*>(&node));
-    return OpCode::kSink;
-  }
-  if (t == typeid(NondetSource)) {
-    as(static_cast<const NondetSource*>(&node));
-    return OpCode::kNondetSource;
-  }
-  if (t == typeid(NondetSink)) {
-    as(static_cast<const NondetSink*>(&node));
-    return OpCode::kNondetSink;
-  }
-  if (t == typeid(SharedModule)) {
-    as(static_cast<const SharedModule*>(&node));
-    return OpCode::kShared;
-  }
-  if (t == typeid(StallingVLU)) {
-    as(static_cast<const StallingVLU*>(&node));
-    return OpCode::kVlu;
-  }
+OpCode classify(const Node& node) {
+  const std::type_info& t = typeid(node);
+  if (t == typeid(ElasticBuffer)) return OpCode::kEb;
+  if (t == typeid(ElasticBuffer0)) return OpCode::kEb0;
+  if (t == typeid(BrokenBuffer)) return OpCode::kBrokenEb;
+  if (t == typeid(ForkNode)) return OpCode::kFork;
+  if (t == typeid(FuncNode)) return OpCode::kFunc;
+  if (t == typeid(EarlyEvalMux)) return OpCode::kEeMux;
+  if (t == typeid(TokenSource)) return OpCode::kSource;
+  if (t == typeid(TokenSink)) return OpCode::kSink;
+  if (t == typeid(NondetSource)) return OpCode::kNondetSource;
+  if (t == typeid(NondetSink)) return OpCode::kNondetSink;
+  if (t == typeid(SharedModule)) return OpCode::kShared;
+  if (t == typeid(StallingVLU)) return OpCode::kVlu;
   return OpCode::kGeneric;
 }
 
@@ -144,7 +105,7 @@ bool bindKindConstants(Op& op, const std::vector<SlotAddr>& ports) {
   const SlotAddr* P = ports.data() + op.portBase;
   switch (op.code) {
     case OpCode::kEb: {
-      const auto& eb = *static_cast<const ElasticBuffer*>(op.obj);
+      const auto& eb = static_cast<const ElasticBuffer&>(*op.node);
       op.fnA = eb.capacity();
       op.fnB = eb.antiCapacity();
       return P[1].width <= 64;
@@ -155,13 +116,13 @@ bool bindKindConstants(Op& op, const std::vector<SlotAddr>& ports) {
     case OpCode::kFork:
       return op.nOut <= 64;
     case OpCode::kNondetSource: {
-      const auto& ns = *static_cast<const NondetSource*>(op.obj);
+      const auto& ns = static_cast<const NondetSource&>(*op.node);
       op.fnA = ns.killCreditCap();
       op.fnB = ns.maxIdle();
       return P[0].width <= 64;
     }
     case OpCode::kNondetSink: {
-      const auto& nk = *static_cast<const NondetSink*>(op.obj);
+      const auto& nk = static_cast<const NondetSink&>(*op.node);
       op.fnA = nk.maxConsecutiveStops();
       op.fnB = nk.emitsAntiTokens() ? 1 : 0;
       return true;
@@ -212,13 +173,11 @@ Program compileProgram(Netlist& nl, const SignalBoard& board,
     // the usual accessor error if the dangling channel is actually touched.
     // Under sharding, a node adjacent to a boundary slot also stays generic:
     // boundary writes must go through the staging-aware Sig accessors.
-    op.code = allBound && !(sharded && anyBoundary) ? classify(node, &op.obj)
-                                                    : OpCode::kGeneric;
+    op.code = allBound && !(sharded && anyBoundary) ? classify(node) : OpCode::kGeneric;
     if (op.code == OpCode::kFunc)
       op.fnKind = specializeFunc(node, op, prog.ports, &op.fnA, &op.fnB);
     if (!bindKindConstants(op, prog.ports)) {
       op.code = OpCode::kGeneric;
-      op.obj = nullptr;
       op.fnA = op.fnB = 0;
     }
     prog.opOf[id] = static_cast<std::uint32_t>(prog.ops.size());

@@ -2,12 +2,13 @@
 //
 // compileProgram() lowers a netlist once into a flat program of per-node ops:
 // each op carries the node's kind (resolved to a specialized opcode by exact
-// type), a concrete object pointer (the downcast done at compile time), the
-// offset of the node's record in the SimContext's node-state arena, and a
-// table of port addresses resolved against the board's current layout. The
-// VM (src/compile/vm.h) then executes settle rounds and clock edges with raw
-// word loads/stores: no virtual dispatch, no Sig accessor proxies, no slot
-// lookups — and no pointer-chasing into node objects — on the hot path.
+// type), the offset of the node's record in the SimContext's node-state
+// arena, the kind's per-evaluation constants, and a table of port addresses
+// resolved against the board's current layout. The opcode selects which
+// kind's comb/edge body the VM (src/compile/vm.h) runs over its raw accessor
+// policy — the same body the interpreter runs through the Sig proxies — so
+// the hot path has no virtual dispatch, no Sig proxies and no slot lookups,
+// only raw word loads/stores.
 //
 // The compiler decides no record sizes or offsets: each node kind declares
 // its record (Node::stateWords() and the kind's field layout) and the
@@ -22,8 +23,8 @@
 // unbound ports, nodes whose record the ops cannot address word-per-payload
 // (payloads wider than 64 bits, forks with more than 64 branches), and —
 // under sharding — nodes touching a boundary slot compile to OpCode::kGeneric,
-// which falls back to the virtual evalComb/clockEdge through the staging-
-// aware Sig accessors: the program is always total over the netlist.
+// which falls back to the virtual evalComb/clockEdge (the BoardIo policy,
+// staging-aware): the program is always total over the netlist.
 //
 // A Program is valid for one (topologyVersion, board layoutGeneration) pair;
 // the VM recompiles whenever either moves. Topology changes (transformations,
@@ -110,8 +111,7 @@ struct Op {
                           ///< kNondetSink: max consecutive stops
   std::uint64_t fnB = 0;  ///< kFunc: permille salt; kEb: anti capacity;
                           ///< kNondetSource: maxIdle; kNondetSink: emitsAnti
-  Node* node = nullptr;  ///< always set (names in errors, generic fallback)
-  void* obj = nullptr;   ///< exact-type downcast for specialized opcodes
+  Node* node = nullptr;  ///< always set; its exact type is the opcode's kind
 };
 
 struct Program {

@@ -17,19 +17,26 @@
 // with the interpreted kernels, packState() and the audits. The VM owns no
 // node state: each op addresses its node's record through the precomputed
 // stateOff, so a settle step streams the op record, its port records and its
-// state record instead of chasing into a heap-allocated node object (~5–8
-// cache lines per active op before, ~2–3 sequential streams after). Each kind
-// declares its record layout once (elastic/*.h); the ops below use those
-// field names. Statistics (firings, transfer logs) stay on the node objects —
+// state record. Statistics (firings, transfer logs) stay on the node objects —
 // packState excludes them too.
 //
-// Every specialized op is a line-for-line transcription of the node's
-// evalComb/clockEdge against raw addresses and arena words (the VM is a
-// friend of the node catalog), preserving exact write order and
-// change-tracking semantics; the write helpers mirror
-// SignalBoard::setBitAt/setDataAt, so settled fixpoints — and therefore
-// packState() — are bit-identical to the interpreted kernels. Cross-check
-// mode keeps the interpreted kernels as the runtime oracle.
+// --- One semantics, two accessor policies --------------------------------------
+//
+// The VM holds no per-kind logic. Each catalog kind writes its cycle
+// semantics once, as comb/edge member templates in its header
+// (elastic/*.h), over a port-accessor policy; evalNode/edgeNode only switch
+// on the opcode and run that body over RawIo (vm.cpp), which reads and
+// writes the board's planes and payload words through the op's pre-resolved
+// SlotAddrs, mirroring SignalBoard::setBitAt/setDataAt change tracking.
+// The virtual evalComb/clockEdge run the same body over BoardIo
+// (elastic/board_io.h). Per-kind constants the compiler stashed in
+// Op::fnA/fnB are passed in as arguments (no load from the node object),
+// and the bodies are inline templates that the compiler instantiates over
+// RawIo's word loads and stores — no virtual call, no slot lookup, no Sig
+// proxy. Settled fixpoints — and therefore packState() — are bit-identical
+// to the interpreted kernels; cross-check mode keeps the interpreted kernels
+// as the runtime oracle, and its edge audit replays each compiled op against
+// the interpreted clockEdge, i.e. checks that the two policies agree.
 //
 // The program is recompiled whenever the netlist's topologyVersion OR the
 // board's layoutGeneration moves (a shard-count change permutes slots without
@@ -39,11 +46,11 @@
 // re-fetched at every phase (bind()).
 //
 // Sharded composition (shards > 1): the compiler keeps every boundary-
-// adjacent node generic (staging-aware Sig accessors), interior specialized
-// ops write owner-exclusive planes, and each shard's state records start
-// cache-line-aligned — so the staged boundary exchange of the sharded
-// kernels carries over unchanged and packState stays bit-identical to the
-// serial compiled backend for every shard count.
+// adjacent node generic (BoardIo's staging-aware Sig accessors), interior
+// specialized ops write owner-exclusive planes, and each shard's state
+// records start cache-line-aligned — so the staged boundary exchange of the
+// sharded kernels carries over unchanged and packState stays bit-identical
+// to the serial compiled backend for every shard count.
 #pragma once
 
 #include <cstdint>
@@ -55,6 +62,16 @@ class SimContext;
 }
 
 namespace esl::compile {
+
+/// The board the raw port-accessor policy (RawIo, vm.cpp) reads through,
+/// and the storage it writes directly: control planes, narrow payload words
+/// and the changed bitmap.
+struct RawArenas {
+  SignalBoard* board = nullptr;
+  std::uint64_t* ctrl = nullptr;
+  std::uint64_t* words = nullptr;
+  std::uint64_t* changed = nullptr;
+};
 
 class Vm {
  public:
@@ -81,65 +98,7 @@ class Vm {
   void bind();
   void evalNode(NodeId id);
   void edgeNode(NodeId id, bool applyStats);
-
-  // --- raw board access (mirrors SignalBoard::setBitAt/setDataAt exactly) ---
-  bool rdBit(const SlotAddr& a, unsigned plane) const {
-    return (ctrl_[a.ctrlBase() + plane] & a.bitMask()) != 0;
-  }
-  void wrBit(const SlotAddr& a, unsigned plane, bool v) {
-    // Branch-free equivalent of "flip and mark changed iff different": delta
-    // is bitMask when the stored bit differs from v, else 0. Signal writes
-    // follow token movement, so a compare-then-write branch mispredicts
-    // chronically; straight-line xor/or is cheaper than the flush.
-    std::uint64_t& w = ctrl_[a.ctrlBase() + plane];
-    const std::uint64_t delta =
-        (w ^ (0 - static_cast<std::uint64_t>(v))) & a.bitMask();
-    w ^= delta;
-    changed_[a.chWord()] |= delta;
-  }
-  BitVec rdData(const SlotAddr& a) const;
-  std::uint64_t rdLow64(const SlotAddr& a) const;
-  bool dataEqualsValue(const SlotAddr& a, const BitVec& v) const;
-  void wrData(const SlotAddr& a, const BitVec& v);
-  void copyData(const SlotAddr& dst, const SlotAddr& src);
-  /// setDataAt() narrow fast path for word-specialized datapaths: `v` is
-  /// already masked to the slot width, so the width audit holds by
-  /// construction and no BitVec is materialized.
-  void wrWord(const SlotAddr& a, std::uint64_t v) {
-    if (a.dataOff == SignalBoard::kNoSlot) return;
-    std::uint64_t& w = words_[a.dataOff];
-    const std::uint64_t diff = w == v ? 0 : a.bitMask();  // cmov, not a branch
-    w = v;
-    changed_[a.chWord()] |= diff;
-  }
-  /// True when the slot's payload lives in the narrow word arena (width in
-  /// [1, 64]) — the precondition for the wrWord/word0 fast paths.
-  static bool narrow(const SlotAddr& a) {
-    return a.dataOff != SignalBoard::kNoSlot &&
-           !(a.dataOff & SignalBoard::kWideFlag);
-  }
-  /// Word-arithmetic datapath of a specialized FuncNode (fnKind != kOpaque).
-  std::uint64_t funcWord(const Op& op, const SlotAddr* P) const;
-
-  // Event predicates over the settled planes (edge phase).
-  bool fwdAt(const SlotAddr& a) const;
-  bool killAt(const SlotAddr& a) const;
-  bool bwdAt(const SlotAddr& a) const;
-  /// All three event predicates from one pass over the slot's plane words
-  /// (edge ops branch on several of them; one load per plane, not per use).
-  struct Ev {
-    bool vf, sf, vb, sb;
-    bool fwd, kill, bwd;
-  };
-  Ev evAt(const SlotAddr& a) const {
-    const std::uint32_t base = a.ctrlBase();
-    const std::uint64_t m = a.bitMask();
-    const bool vf = (ctrl_[base + 0] & m) != 0;
-    const bool sf = (ctrl_[base + 1] & m) != 0;
-    const bool vb = (ctrl_[base + 2] & m) != 0;
-    const bool sb = (ctrl_[base + 3] & m) != 0;
-    return {vf, sf, vb, sb, vf && !sf && !vb, vf && vb, vb && !sb && !vf};
-  }
+  std::uint64_t* state(const Op& op) const { return records_ + op.stateOff; }
 
   SimContext& ctx_;
   Program prog_;
@@ -147,10 +106,7 @@ class Vm {
 
   // Raw board and node-state arena pointers, re-fetched by bind() before
   // every phase.
-  std::uint64_t* ctrl_ = nullptr;
-  std::uint64_t* words_ = nullptr;
-  BitVec* spill_ = nullptr;
-  std::uint64_t* changed_ = nullptr;
+  RawArenas arenas_;
   std::uint64_t* records_ = nullptr;
 };
 

@@ -41,75 +41,13 @@ int ElasticBuffer::occupancy(const SimContext& ctx) const {
 }
 
 void ElasticBuffer::evalComb(SimContext& ctx) {
-  const std::uint64_t* s = ctx.state(*this);
-  Sig in = ctx.sig(input(0));
-  Sig out = ctx.sig(output(0));
-  const std::int64_t count = hi32(s[kHeadCount]);
-  const auto anti = static_cast<std::int64_t>(s[kAnti]);
-
-  const bool hasTok = count > 0;
-  // Producer side of the output channel.
-  out.setVf(hasTok);
-  if (hasTok) out.setData(loadPayload(s + ringOff(lo32(s[kHeadCount])), width_));
-  // Anti-tokens from downstream are consumed by killing the head token when
-  // one exists; otherwise they are stored, subject to the anti capacity.
-  out.setSb(!hasTok && anti >= antiCapacity_);
-
-  // Consumer side of the input channel. The stop is a function of state only,
-  // which realizes Lb=1 (the sender learns about congestion a cycle late; the
-  // spare capacity slot absorbs the in-flight token, hence C >= Lf+Lb).
-  in.setSf(count - anti >= capacity_);
-  // Stored anti-tokens travel upstream (active anti-tokens).
-  in.setVb(anti > 0);
+  BoardIo io(ctx, *this);
+  comb(io, ctx.state(*this), capacity_, antiCapacity_);
 }
 
 void ElasticBuffer::clockEdge(SimContext& ctx) {
-  std::uint64_t* s = ctx.state(*this);
-  const ConstSig in = ctx.sig(input(0));
-  const ConstSig out = ctx.sig(output(0));
-  std::uint32_t head = lo32(s[kHeadCount]);
-  std::uint32_t count = hi32(s[kHeadCount]);
-  auto anti = static_cast<std::int64_t>(s[kAnti]);
-  const auto pop = [&] {
-    head = head + 1 == capacity_ ? 0 : head + 1;
-    --count;
-  };
-
-  // Output-side events first (free the head slot before accepting).
-  if (killEvent(out) || fwdTransfer(out)) {
-    ESL_ASSERT(count > 0);
-    pop();
-  } else if (bwdTransfer(out)) {
-    ESL_ASSERT(count == 0);
-    ++anti;
-  }
-
-  // Input-side events. The payload is only materialized on an actual
-  // transfer — bit reads stay in the planes.
-  if (killEvent(in)) {
-    ESL_ASSERT(anti > 0);  // we asserted in.vb
-    --anti;
-  } else if (fwdTransfer(in)) {
-    std::uint32_t tail = head + count;
-    if (tail >= capacity_) tail -= capacity_;
-    storePayload(s + ringOff(tail), in.data(), width_);
-    ++count;
-    ESL_ASSERT(count <= capacity_);
-  } else if (bwdTransfer(in)) {
-    ESL_ASSERT(anti > 0);
-    --anti;
-  }
-
-  // Tokens and anti-tokens cancel inside the buffer (Fig. 3: "which cancel
-  // each other at the boundaries of the EB"). This arises when a token enters
-  // through the input in the same cycle an anti-token enters via the output.
-  while (count > 0 && anti > 0) {
-    pop();
-    --anti;
-  }
-  ESL_ASSERT(count == 0 || anti == 0);
-  s[kHeadCount] = pack32(head, count);
-  s[kAnti] = static_cast<std::uint64_t>(anti);
+  BoardIo io(ctx, *this);
+  edge(io, ctx.state(*this), capacity_);
 }
 
 void ElasticBuffer::packRecord(const std::uint64_t* s, StateWriter& w) const {
@@ -168,37 +106,13 @@ void ElasticBuffer0::resetRecord(std::uint64_t* s) const {
 }
 
 void ElasticBuffer0::evalComb(SimContext& ctx) {
-  const std::uint64_t* s = ctx.state(*this);
-  Sig in = ctx.sig(input(0));
-  Sig out = ctx.sig(output(0));
-
-  const bool full = s[kFull] != 0;
-  out.setVf(full);
-  if (full) out.setData(loadPayload(s + kSlot, width_));
-
-  // Head leaves this cycle if transferred or killed — computed from the
-  // downstream signals, so the stop to the sender is combinational (Lb=0).
-  const bool leave = full && (!out.sf() || out.vb());
-  in.setSf(full && !leave);
-
-  // Anti-tokens rush through combinationally when the buffer is empty.
-  in.setVb(!full && out.vb());
-  // The anti-token is consumed by killing our token, by killing the incoming
-  // token at the input boundary, or by moving further upstream.
-  out.setSb(!full && !in.vf() && in.sb());
+  BoardIo io(ctx, *this);
+  comb(io, ctx.state(*this));
 }
 
 void ElasticBuffer0::clockEdge(SimContext& ctx) {
-  std::uint64_t* s = ctx.state(*this);
-  const ConstSig in = ctx.sig(input(0));
-  const ConstSig out = ctx.sig(output(0));
-
-  if (killEvent(out) || fwdTransfer(out)) s[kFull] = 0;
-  if (fwdTransfer(in)) {
-    ESL_ASSERT(s[kFull] == 0);
-    s[kFull] = 1;
-    storePayload(s + kSlot, in.data(), width_);
-  }
+  BoardIo io(ctx, *this);
+  edge(io, ctx.state(*this));
 }
 
 void ElasticBuffer0::packRecord(const std::uint64_t* s, StateWriter& w) const {
@@ -231,33 +145,13 @@ BrokenBuffer::BrokenBuffer(std::string name, unsigned width)
 }
 
 void BrokenBuffer::evalComb(SimContext& ctx) {
-  const std::uint64_t* s = ctx.state(*this);
-  Sig in = ctx.sig(input(0));
-  Sig out = ctx.sig(output(0));
-  const bool full = (s[kFlags] & kFull) != 0;
-  out.setVf(full);
-  if (full) out.setData(loadPayload(s + kSlot, width_));
-  out.setSb(true);  // no anti-token support
-  // BUG: one cycle stale — the sender overruns the slot.
-  in.setSf((s[kFlags] & kStopReg) != 0);
-  in.setVb(false);
+  BoardIo io(ctx, *this);
+  comb(io, ctx.state(*this));
 }
 
 void BrokenBuffer::clockEdge(SimContext& ctx) {
-  std::uint64_t* s = ctx.state(*this);
-  const ConstSig in = ctx.sig(input(0));
-  const ConstSig out = ctx.sig(output(0));
-  // The Lb=1 stop reflects the occupancy *before* this edge, so the sender
-  // learns about a fill one cycle late — with C=1 there is no slack slot to
-  // absorb the in-flight token (paper §3.2: the C >= Lf+Lb scenario).
-  bool full = (s[kFlags] & kFull) != 0;
-  const bool stopReg = full;
-  if (fwdTransfer(out)) full = false;
-  if (fwdTransfer(in)) {  // may overwrite a live token
-    full = true;
-    storePayload(s + kSlot, in.data(), width_);
-  }
-  s[kFlags] = (full ? kFull : 0) | (stopReg ? kStopReg : 0);
+  BoardIo io(ctx, *this);
+  edge(io, ctx.state(*this));
 }
 
 void BrokenBuffer::packRecord(const std::uint64_t* s, StateWriter& w) const {

@@ -18,7 +18,7 @@
 
 #include <optional>
 
-#include "elastic/context.h"
+#include "elastic/board_io.h"
 #include "elastic/node.h"
 
 namespace esl {
@@ -58,9 +58,16 @@ class ElasticBuffer : public Node {
   /// Current token count in `ctx` (negative = stored anti-tokens).
   int occupancy(const SimContext& ctx) const;
 
- private:
-  friend class compile::Vm;
+  /// Cycle semantics over a port-accessor policy (elastic/board_io.h), shared
+  /// by evalComb/clockEdge and the compiled VM. `cap`/`antiCap` are
+  /// capacity()/antiCapacity().
+  template <class Io>
+  static void comb(Io& io, const std::uint64_t* s, std::uint32_t cap,
+                   std::uint32_t antiCap);
+  template <class Io>
+  static void edge(Io& io, std::uint64_t* s, std::uint32_t cap);
 
+ private:
   // Arena record: [kHeadCount] ring head | token count << 32, [kAnti] stored
   // anti-tokens (two's complement), then the FIFO as a fixed ring of
   // `capacity_` payload slots from kRing on — pushes and pops are index
@@ -106,9 +113,12 @@ class ElasticBuffer0 : public Node {
   unsigned width() const { return width_; }
   const std::optional<BitVec>& initToken() const { return init_; }
 
- private:
-  friend class compile::Vm;
+  template <class Io>
+  static void comb(Io& io, const std::uint64_t* s);
+  template <class Io>
+  static void edge(Io& io, std::uint64_t* s);
 
+ private:
   // Arena record: [kFull] slot occupied, then the slot's payload.
   static constexpr std::uint32_t kFull = 0;
   static constexpr std::uint32_t kSlot = 1;
@@ -132,9 +142,12 @@ class BrokenBuffer : public Node {
   }
   std::string kindName() const override { return "broken-eb"; }
 
- private:
-  friend class compile::Vm;
+  template <class Io>
+  static void comb(Io& io, const std::uint64_t* s);
+  template <class Io>
+  static void edge(Io& io, std::uint64_t* s);
 
+ private:
   // Arena record: [kFlags] slot occupied | stop register << 1 (the bug: S+ to
   // the sender lags the state by a cycle), then the slot's payload.
   static constexpr std::uint32_t kFlags = 0;
@@ -144,5 +157,155 @@ class BrokenBuffer : public Node {
 
   unsigned width_;
 };
+
+// ---------------------------------------------------------------------------
+// ElasticBuffer (Lf=1, Lb=1, C=cap)
+// ---------------------------------------------------------------------------
+
+template <class Io>
+inline void ElasticBuffer::comb(Io& io, const std::uint64_t* s, std::uint32_t cap,
+                                std::uint32_t antiCap) {
+  const auto& in = io.in(0);
+  const auto& out = io.out(0);
+  const std::int64_t count = hi32(s[kHeadCount]);
+  const auto anti = static_cast<std::int64_t>(s[kAnti]);
+
+  const bool hasTok = count > 0;
+  // Producer side of the output channel: the head token.
+  io.setVf(out, hasTok);
+  if (hasTok)
+    io.setDataRecord(out, s + kRing + lo32(s[kHeadCount]) * io.payloadWords(out));
+  // Anti-tokens from downstream are consumed by killing the head token when
+  // one exists; otherwise they are stored, subject to the anti capacity.
+  io.setSb(out, !hasTok && anti >= antiCap);
+
+  // Consumer side of the input channel. The stop is a function of state only,
+  // which realizes Lb=1 (the sender learns about congestion a cycle late; the
+  // spare capacity slot absorbs the in-flight token, hence C >= Lf+Lb).
+  io.setSf(in, count - anti >= cap);
+  // Stored anti-tokens travel upstream (active anti-tokens).
+  io.setVb(in, anti > 0);
+}
+
+template <class Io>
+inline void ElasticBuffer::edge(Io& io, std::uint64_t* s, std::uint32_t cap) {
+  const auto& inPort = io.in(0);
+  const PortEvents in = io.events(inPort);
+  const PortEvents out = io.events(io.out(0));
+  std::uint32_t head = lo32(s[kHeadCount]);
+  std::uint32_t count = hi32(s[kHeadCount]);
+  auto anti = static_cast<std::int64_t>(s[kAnti]);
+  const auto pop = [&] {
+    head = head + 1 == cap ? 0 : head + 1;
+    --count;
+  };
+
+  // Output-side events first (free the head slot before accepting).
+  if (out.kill || out.fwd) {
+    ESL_ASSERT(count > 0);
+    pop();
+  } else if (out.bwd) {
+    ESL_ASSERT(count == 0);
+    ++anti;
+  }
+
+  // Input-side events. The payload is only read on an actual transfer.
+  if (in.kill) {
+    ESL_ASSERT(anti > 0);  // we asserted in.vb
+    --anti;
+  } else if (in.fwd) {
+    std::uint32_t tail = head + count;
+    if (tail >= cap) tail -= cap;
+    io.storeData(inPort, s + kRing + tail * io.payloadWords(inPort));
+    ++count;
+    ESL_ASSERT(count <= cap);
+  } else if (in.bwd) {
+    ESL_ASSERT(anti > 0);
+    --anti;
+  }
+
+  // Tokens and anti-tokens cancel inside the buffer (Fig. 3: "which cancel
+  // each other at the boundaries of the EB"). This arises when a token enters
+  // through the input in the same cycle an anti-token enters via the output.
+  while (count > 0 && anti > 0) {
+    pop();
+    --anti;
+  }
+  ESL_ASSERT(count == 0 || anti == 0);
+  s[kHeadCount] = pack32(head, count);
+  s[kAnti] = static_cast<std::uint64_t>(anti);
+}
+
+// ---------------------------------------------------------------------------
+// ElasticBuffer0 (Lf=1, Lb=0, C=1) — Fig. 5
+// ---------------------------------------------------------------------------
+
+template <class Io>
+void ElasticBuffer0::comb(Io& io, const std::uint64_t* s) {
+  const auto& in = io.in(0);
+  const auto& out = io.out(0);
+  const bool full = s[kFull] != 0;
+  io.setVf(out, full);
+  if (full) io.setDataRecord(out, s + kSlot);
+
+  // Head leaves this cycle if transferred or killed — computed from the
+  // downstream signals, so the stop to the sender is combinational (Lb=0).
+  const bool leave = full && (!io.sf(out) || io.vb(out));
+  io.setSf(in, full && !leave);
+
+  // Anti-tokens rush through combinationally when the buffer is empty.
+  io.setVb(in, !full && io.vb(out));
+  // The anti-token is consumed by killing our token, by killing the incoming
+  // token at the input boundary, or by moving further upstream.
+  io.setSb(out, !full && !io.vf(in) && io.sb(in));
+}
+
+template <class Io>
+void ElasticBuffer0::edge(Io& io, std::uint64_t* s) {
+  const auto& inPort = io.in(0);
+  const PortEvents in = io.events(inPort);
+  const PortEvents out = io.events(io.out(0));
+  if (out.kill || out.fwd) s[kFull] = 0;
+  if (in.fwd) {
+    ESL_ASSERT(s[kFull] == 0);
+    s[kFull] = 1;
+    io.storeData(inPort, s + kSlot);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// BrokenBuffer — violates C >= Lf + Lb
+// ---------------------------------------------------------------------------
+
+template <class Io>
+inline void BrokenBuffer::comb(Io& io, const std::uint64_t* s) {
+  const auto& in = io.in(0);
+  const auto& out = io.out(0);
+  const bool full = (s[kFlags] & kFull) != 0;
+  io.setVf(out, full);
+  if (full) io.setDataRecord(out, s + kSlot);
+  io.setSb(out, true);  // no anti-token support
+  // BUG: one cycle stale — the sender overruns the slot.
+  io.setSf(in, (s[kFlags] & kStopReg) != 0);
+  io.setVb(in, false);
+}
+
+template <class Io>
+inline void BrokenBuffer::edge(Io& io, std::uint64_t* s) {
+  const auto& inPort = io.in(0);
+  const PortEvents in = io.events(inPort);
+  const PortEvents out = io.events(io.out(0));
+  // The Lb=1 stop reflects the occupancy *before* this edge, so the sender
+  // learns about a fill one cycle late — with C=1 there is no slack slot to
+  // absorb the in-flight token (paper §3.2: the C >= Lf+Lb scenario).
+  bool full = (s[kFlags] & kFull) != 0;
+  const bool stopReg = full;
+  if (out.fwd) full = false;
+  if (in.fwd) {  // may overwrite a live token
+    full = true;
+    io.storeData(inPort, s + kSlot);
+  }
+  s[kFlags] = (full ? kFull : 0) | (stopReg ? kStopReg : 0);
+}
 
 }  // namespace esl

@@ -72,6 +72,10 @@ namespace esl {
 class Executor;
 class StateWriter;
 
+namespace compile {
+class Vm;
+}
+
 class SimContext {
  public:
   enum class SettleKernel {

@@ -11,76 +11,14 @@ EarlyEvalMux::EarlyEvalMux(std::string name, unsigned dataInputs, unsigned selWi
   declareOutput(width);
 }
 
-EarlyEvalMux::CombView EarlyEvalMux::view(SimContext& ctx,
-                                          const std::uint64_t* s) const {
-  CombView v;
-  const ConstSig sel = ctx.sig(selectChannel());
-  v.selValid = sel.vf();
-  if (v.selValid) {
-    const std::uint64_t idx = sel.dataLow64();
-    ESL_CHECK(idx < dataInputs_,
-              "EarlyEvalMux '" + name() + "': select value out of range");
-    v.selIdx = static_cast<unsigned>(idx);
-  }
-
-  // The selected token is usable only if it is not owed to a pending
-  // anti-token from an earlier firing.
-  const bool usable =
-      v.selValid && s[v.selIdx] == 0 && ctx.sig(dataChannel(v.selIdx)).vf();
-  const ConstSig out = ctx.sig(output(0));
-  v.fire = usable && (!out.sf() || out.vb());
-  return v;
-}
-
 void EarlyEvalMux::evalComb(SimContext& ctx) {
-  const std::uint64_t* s = ctx.state(*this);
-  const CombView v = view(ctx, s);
-  Sig out = ctx.sig(output(0));
-  Sig sel = ctx.sig(selectChannel());
-
-  const bool usable = v.selValid && s[v.selIdx] == 0 &&
-                      ctx.sig(dataChannel(v.selIdx)).vf();
-  out.setVf(usable);
-  if (usable) out.setDataFrom(ctx.sig(dataChannel(v.selIdx)));
-  // An anti-token at the output is consumed only by annihilating a firing.
-  out.setSb(!usable);
-
-  sel.setSf(!v.fire);
-  sel.setVb(false);
-
-  for (unsigned i = 0; i < dataInputs_; ++i) {
-    Sig in = ctx.sig(dataChannel(i));
-    const bool anti = antiAvail(v, s, i) > 0;
-    in.setVb(anti);
-    if (anti) {
-      in.setSf(false);  // kill and stop are mutually exclusive
-    } else if (v.selValid && i == v.selIdx) {
-      // Selected: released on firing; stopped while waiting — when the channel
-      // is empty this stop is the misprediction demand.
-      in.setSf(!v.fire);
-    } else {
-      // Non-selected: hold an arriving token (it will be killed by a future
-      // firing's anti-token); keep the channel free otherwise so that an
-      // empty non-selected channel never looks like a demand.
-      in.setSf(in.vf());
-    }
-  }
+  BoardIo io(ctx, *this);
+  comb(io, ctx.state(*this));
 }
 
 void EarlyEvalMux::clockEdge(SimContext& ctx) {
-  std::uint64_t* s = ctx.state(*this);
-  const CombView v = view(ctx, s);
-  for (unsigned i = 0; i < dataInputs_; ++i) {
-    const ConstSig in = ctx.sig(dataChannel(i));
-    std::uint64_t avail = antiAvail(v, s, i);
-    if (in.vb() && (in.vf() || !in.sb())) {
-      ESL_ASSERT(avail > 0);
-      --avail;  // delivered: killed a token or moved upstream
-    }
-    if (v.fire && i != v.selIdx) ++antiEmitted_;
-    s[i] = avail;
-  }
-  if (fwdTransfer(ctx.sig(output(0)))) ++firings_;
+  BoardIo io(ctx, *this);
+  edge(io, ctx.state(*this), true);
 }
 
 void EarlyEvalMux::packRecord(const std::uint64_t* s, StateWriter& w) const {

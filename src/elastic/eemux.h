@@ -16,9 +16,7 @@
 // Port map: input 0 = select channel; inputs 1..n = data channels; output 0.
 #pragma once
 
-#include <vector>
-
-#include "elastic/context.h"
+#include "elastic/board_io.h"
 #include "elastic/node.h"
 
 namespace esl {
@@ -51,15 +49,23 @@ class EarlyEvalMux : public Node {
   /// Anti-tokens emitted in total.
   std::uint64_t antiTokensEmitted() const { return antiEmitted_; }
 
- private:
-  friend class compile::Vm;
+  /// Cycle semantics over a port-accessor policy (elastic/board_io.h), shared
+  /// by evalComb/clockEdge and the compiled VM. `applyStats == false` (the
+  /// compiled edge audit's replay) leaves the statistics alone.
+  template <class Io>
+  void comb(Io& io, const std::uint64_t* s) const;
+  template <class Io>
+  void edge(Io& io, std::uint64_t* s, bool applyStats);
 
+ private:
   struct CombView {
     bool selValid = false;
     unsigned selIdx = 0;
+    bool usable = false;  ///< selected token present and not owed a kill
     bool fire = false;
   };
-  CombView view(SimContext& ctx, const std::uint64_t* s) const;
+  template <class Io>
+  CombView view(Io& io, const std::uint64_t* s) const;
   /// Anti-tokens input i owes this cycle: pending plus this firing's.
   static std::uint64_t antiAvail(const CombView& v, const std::uint64_t* s,
                                  unsigned i) {
@@ -71,5 +77,76 @@ class EarlyEvalMux : public Node {
   std::uint64_t firings_ = 0;
   std::uint64_t antiEmitted_ = 0;
 };
+
+template <class Io>
+inline EarlyEvalMux::CombView EarlyEvalMux::view(Io& io, const std::uint64_t* s) const {
+  const unsigned k = io.numIn() - 1;
+  CombView v;
+  const auto& sel = io.in(0);
+  v.selValid = io.vf(sel);
+  if (v.selValid) {
+    const std::uint64_t idx = io.low64(sel);
+    ESL_CHECK(idx < k,
+              "EarlyEvalMux '" + name() + "': select value out of range");
+    v.selIdx = static_cast<unsigned>(idx);
+  }
+  // The selected token is usable only if it is not owed to a pending
+  // anti-token from an earlier firing.
+  v.usable = v.selValid && s[v.selIdx] == 0 && io.vf(io.in(1 + v.selIdx));
+  const auto& out = io.out(0);
+  v.fire = v.usable && (!io.sf(out) || io.vb(out));
+  return v;
+}
+
+template <class Io>
+inline void EarlyEvalMux::comb(Io& io, const std::uint64_t* s) const {
+  const unsigned k = io.numIn() - 1;
+  const CombView v = view(io, s);
+  const auto& sel = io.in(0);
+  const auto& out = io.out(0);
+
+  io.setVf(out, v.usable);
+  if (v.usable) io.copyData(out, io.in(1 + v.selIdx));
+  // An anti-token at the output is consumed only by annihilating a firing.
+  io.setSb(out, !v.usable);
+
+  io.setSf(sel, !v.fire);
+  io.setVb(sel, false);
+
+  for (unsigned i = 0; i < k; ++i) {
+    const auto& in = io.in(1 + i);
+    const bool anti = antiAvail(v, s, i) > 0;
+    io.setVb(in, anti);
+    if (anti) {
+      io.setSf(in, false);  // kill and stop are mutually exclusive
+    } else if (v.selValid && i == v.selIdx) {
+      // Selected: released on firing; stopped while waiting — when the channel
+      // is empty this stop is the misprediction demand.
+      io.setSf(in, !v.fire);
+    } else {
+      // Non-selected: hold an arriving token (it will be killed by a future
+      // firing's anti-token); keep the channel free otherwise so that an
+      // empty non-selected channel never looks like a demand.
+      io.setSf(in, io.vf(in));
+    }
+  }
+}
+
+template <class Io>
+inline void EarlyEvalMux::edge(Io& io, std::uint64_t* s, bool applyStats) {
+  const unsigned k = io.numIn() - 1;
+  const CombView v = view(io, s);
+  for (unsigned i = 0; i < k; ++i) {
+    const PortEvents in = io.events(io.in(1 + i));
+    std::uint64_t avail = antiAvail(v, s, i);
+    if (in.vb && (in.vf || !in.sb)) {
+      ESL_ASSERT(avail > 0);
+      --avail;  // delivered: killed a token or moved upstream
+    }
+    if (v.fire && i != v.selIdx && applyStats) ++antiEmitted_;
+    s[i] = avail;
+  }
+  if (io.events(io.out(0)).fwd && applyStats) ++firings_;
+}
 
 }  // namespace esl

@@ -46,50 +46,13 @@ void TokenSource::resetRecord(std::uint64_t* s) const {
 }
 
 void TokenSource::evalComb(SimContext& ctx) {
-  const std::uint64_t* s = ctx.state(*this);
-  Sig out = ctx.sig(output(0));
-  const std::optional<BitVec> tok =
-      (s[kOffer] & 1) != 0 ? tokenAt(s[kIndex]) : std::nullopt;
-  // A token owed to an absorbed anti-token is never shown.
-  const bool offer = tok.has_value() && hi32(s[kOffer]) == 0;
-  out.setVf(offer);
-  if (offer) out.setData(*tok);
-  out.setSb(false);  // sources always absorb anti-tokens
+  BoardIo io(ctx, *this);
+  comb(io, ctx.state(*this));
 }
 
 void TokenSource::clockEdge(SimContext& ctx) {
-  std::uint64_t* s = ctx.state(*this);
-  const ConstSig out = ctx.sig(output(0));
-  std::uint64_t index = s[kIndex];
-  bool offering = (s[kOffer] & 1) != 0;
-  std::uint32_t killCredit = hi32(s[kOffer]);
-
-  if (killEvent(out)) {
-    ++index;
-    ++killedCount_;
-    offering = false;
-  } else if (fwdTransfer(out)) {
-    ++index;
-    ++emitted_;
-    offering = false;
-  } else if (bwdTransfer(out)) {
-    ++killCredit;
-  }
-
-  // An owed kill silently consumes the next available token (one per cycle).
-  if (killCredit > 0 && tokenAt(index).has_value() && !out.vf()) {
-    ++index;
-    --killCredit;
-    ++killedCount_;
-    offering = false;
-  }
-
-  // Offer the next token when the gate opens for the upcoming cycle.
-  if (!offering && (!gate_ || gate_(ctx.cycle() + 1)) && tokenAt(index).has_value() &&
-      killCredit == 0)
-    offering = true;
-  s[kIndex] = index;
-  s[kOffer] = pack32(offering ? 1 : 0, killCredit);
+  BoardIo io(ctx, *this);
+  edge(io, ctx.state(*this), true);
 }
 
 void TokenSource::packRecord(const std::uint64_t* s, StateWriter& w) const {
@@ -127,30 +90,13 @@ void TokenSink::reset() { transfers_.clear(); }
 void TokenSink::resetRecord(std::uint64_t* s) const { s[kAnti] = pack32(0, antiBudget_); }
 
 void TokenSink::evalComb(SimContext& ctx) {
-  const std::uint64_t s = ctx.state(*this)[kAnti];
-  Sig in = ctx.sig(input(0));
-  const bool wantAnti =
-      (s & 1) != 0 || (hi32(s) > 0 && antiGate_ && antiGate_(ctx.cycle()));
-  in.setVb(wantAnti);
-  // Kill and stop are mutually exclusive; anti-token emission wins.
-  in.setSf(!wantAnti && ready_ && !ready_(ctx.cycle()));
+  BoardIo io(ctx, *this);
+  comb(io, ctx.state(*this));
 }
 
 void TokenSink::clockEdge(SimContext& ctx) {
-  const ConstSig in = ctx.sig(input(0));
-  if (fwdTransfer(in)) transfers_.push_back({ctx.cycle(), in.data()});
-
-  if (in.vb()) {
-    std::uint64_t& s = ctx.state(*this)[kAnti];
-    std::uint32_t remaining = hi32(s);
-    bool antiActive = true;  // Retry-: persist until delivered
-    if (in.vf() || !in.sb()) {  // delivered: killed a token or moved upstream
-      ESL_ASSERT(remaining > 0);
-      --remaining;
-      antiActive = false;
-    }
-    s = pack32(antiActive ? 1 : 0, remaining);
-  }
+  BoardIo io(ctx, *this);
+  edge(io, ctx.state(*this), true);
 }
 
 void TokenSink::packRecord(const std::uint64_t* s, StateWriter& w) const {
@@ -182,51 +128,14 @@ NondetSource::NondetSource(std::string name, unsigned width, unsigned killCredit
   declareOutput(width);
 }
 
-bool NondetSource::offeringNow(SimContext& ctx, const std::uint64_t* s) const {
-  return s[kOffer] != 0 || ctx.choice(*this, 0) || hi32(s[kCredit]) >= maxIdle_;
-}
-
-BitVec NondetSource::valueNow(SimContext& ctx, const std::uint64_t* s) const {
-  // Retry+ persistence: value fixed while held.
-  if (s[kOffer] != 0) return loadPayload(s + kValue, width_);
-  BitVec v(width_);
-  for (unsigned b = 0; b < dataBits_; ++b) v.setBit(b, ctx.choice(*this, 1 + b));
-  return v;
-}
-
 void NondetSource::evalComb(SimContext& ctx) {
-  const std::uint64_t* s = ctx.state(*this);
-  Sig out = ctx.sig(output(0));
-  const std::uint32_t killCredit = lo32(s[kCredit]);
-  const bool offer = offeringNow(ctx, s) && killCredit == 0;
-  out.setVf(offer);
-  if (offer) out.setData(valueNow(ctx, s));
-  out.setSb(!offer && killCredit >= cap_);
+  BoardIo io(ctx, *this);
+  comb(io, ctx.state(*this), cap_, maxIdle_);
 }
 
 void NondetSource::clockEdge(SimContext& ctx) {
-  std::uint64_t* s = ctx.state(*this);
-  const ConstSig out = ctx.sig(output(0));
-  bool offered = offeringNow(ctx, s);
-  const BitVec v = valueNow(ctx, s);
-  std::uint32_t killCredit = lo32(s[kCredit]);
-  std::uint32_t idleStreak = hi32(s[kCredit]);
-  if (killEvent(out) || fwdTransfer(out)) offered = false;
-  if (bwdTransfer(out)) ++killCredit;
-  // An owed kill annihilates the (hidden) offered token.
-  if (offered && killCredit > 0) {
-    offered = false;
-    --killCredit;
-  }
-  s[kOffer] = offered ? 1 : 0;
-  storePayload(s + kValue, offered ? v : BitVec(width_), width_);
-  // Bounded fairness: count consecutive cycles without an offer (the offer
-  // decision re-queried after the update above).
-  if (offeringNow(ctx, s))
-    idleStreak = 0;
-  else if (idleStreak < maxIdle_)
-    ++idleStreak;
-  s[kCredit] = pack32(killCredit, idleStreak);
+  BoardIo io(ctx, *this);
+  edge(io, ctx.state(*this), maxIdle_);
 }
 
 void NondetSource::packRecord(const std::uint64_t* s, StateWriter& w) const {
@@ -256,31 +165,14 @@ NondetSink::NondetSink(std::string name, unsigned width, unsigned maxConsecutive
   declareInput(width);
 }
 
-bool NondetSink::antiNow(SimContext& ctx, const std::uint64_t* s) const {
-  return (s[kStops] & 1) != 0 || (emitsAnti_ && ctx.choice(*this, 1));
-}
-
-bool NondetSink::stopNow(SimContext& ctx, const std::uint64_t* s) const {
-  if (hi32(s[kStops]) >= maxStops_) return false;  // bounded fairness
-  return ctx.choice(*this, 0);
-}
-
 void NondetSink::evalComb(SimContext& ctx) {
-  const std::uint64_t* s = ctx.state(*this);
-  Sig in = ctx.sig(input(0));
-  const bool anti = antiNow(ctx, s);
-  in.setVb(anti);
-  in.setSf(!anti && stopNow(ctx, s));
+  BoardIo io(ctx, *this);
+  comb(io, ctx.state(*this), maxStops_, emitsAnti_);
 }
 
 void NondetSink::clockEdge(SimContext& ctx) {
-  std::uint64_t& s = ctx.state(*this)[kStops];
-  const ConstSig in = ctx.sig(input(0));
-  std::uint32_t stops = in.sf() ? hi32(s) + 1 : 0;
-  if (stops > maxStops_) stops = maxStops_;
-  bool antiActive = (s & 1) != 0;
-  if (in.vb()) antiActive = !(in.vf() || !in.sb());  // Retry- until delivered
-  s = pack32(antiActive ? 1 : 0, stops);
+  BoardIo io(ctx, *this);
+  edge(io, ctx.state(*this), maxStops_);
 }
 
 void NondetSink::packRecord(const std::uint64_t* s, StateWriter& w) const {

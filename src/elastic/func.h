@@ -13,7 +13,7 @@
 #include <functional>
 #include <vector>
 
-#include "elastic/context.h"
+#include "elastic/board_io.h"
 #include "elastic/node.h"
 
 namespace esl {
@@ -48,13 +48,40 @@ class FuncNode : public Node {
   /// Forward transfers completed at the output (simulation statistic).
   std::uint64_t firings() const { return firings_; }
 
- private:
-  friend class compile::Vm;
+  /// Cycle semantics over a port-accessor policy (elastic/board_io.h), shared
+  /// by evalComb/clockEdge and the compiled VM. `wordPath(out)` may write
+  /// the output payload itself and return true (the compiled word datapath
+  /// of catalog `fn=` functions); otherwise the memoized fn_ computes it.
+  template <class Io, class WordPath>
+  void comb(Io& io, WordPath&& wordPath);
+  template <class Io>
+  void edge(Io& io, bool applyStats) {
+    if (io.events(io.out(0)).fwd && applyStats) ++firings_;
+  }
 
+ private:
   CombFn fn_;
   logic::Cost datapathCost_;
   std::string role_;
   std::uint64_t firings_ = 0;
+
+  /// fn_ over the settled input payloads, through the memo below.
+  template <class Io>
+  const BitVec& apply(Io& io) {
+    const unsigned n = io.numIn();
+    bool hit = memoValid_;
+    for (unsigned i = 0; hit && i < n; ++i)
+      hit = io.dataEquals(io.in(i), memoArgs_[i]);
+    if (!hit) {
+      memoArgs_.resize(n);
+      for (unsigned i = 0; i < n; ++i) memoArgs_[i] = io.data(io.in(i));
+      memoOut_ = fn_(memoArgs_);
+      ESL_CHECK(memoOut_.width() == outputWidth(0),
+                "FuncNode '" + name() + "': function returned wrong width");
+      memoValid_ = true;
+    }
+    return memoOut_;
+  }
 
   // Size-1 memo of the last datapath computation. fn_ is pure, so replaying
   // it on identical operands is pure waste — and both settle kernels replay a
@@ -62,11 +89,41 @@ class FuncNode : public Node {
   bool memoValid_ = false;
   std::vector<BitVec> memoArgs_;
   BitVec memoOut_;
-
-  // Per-eval accessor scratch: the input proxies are resolved once per
-  // evalComb and reused across its loops (capacity retained between calls).
-  std::vector<Sig> inSigs_;
 };
+
+template <class Io, class WordPath>
+inline void FuncNode::comb(Io& io, WordPath&& wordPath) {
+  const unsigned n = io.numIn();
+  const auto& out = io.out(0);
+
+  bool allIn = true;
+  for (unsigned i = 0; i < n; ++i) allIn = allIn && io.vf(io.in(i));
+
+  io.setVf(out, allIn);
+  if (allIn && !wordPath(out)) io.setData(out, apply(io));
+
+  // Output consumed this cycle: normal transfer or annihilated by an
+  // anti-token at the output channel.
+  const bool outVb = io.vb(out);
+  const bool fire = allIn && (!io.sf(out) || outVb);
+
+  // Counterflow: an anti-token at the output propagates to all inputs
+  // atomically when each input channel can absorb it this cycle (by killing
+  // its token or moving the anti-token further upstream).
+  bool allCan = true;
+  for (unsigned i = 0; i < n; ++i) {
+    const auto& in = io.in(i);
+    allCan = allCan && (io.vf(in) || !io.sb(in));
+  }
+  const bool back = outVb && !allIn && allCan;
+
+  for (unsigned i = 0; i < n; ++i) {
+    const auto& in = io.in(i);
+    io.setVb(in, back);
+    io.setSf(in, !fire && !back);
+  }
+  io.setSb(out, !allIn && !allCan);
+}
 
 /// Identity function block (a named wire with join semantics).
 FuncNode& makeWire(class Netlist& nl, std::string name, unsigned width,

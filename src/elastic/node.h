@@ -8,6 +8,17 @@
 // only write the signals the node drives:
 //   producer side of an output channel: vf, data, sb
 //   consumer side of an input channel:  sf, vb
+//
+// Catalog kinds write that logic once, as member templates comb(Io&, record)
+// and edge(Io&, record, applyStats) over a port-accessor policy
+// (elastic/board_io.h): BoardIo behind the virtual evalComb/clockEdge, and
+// the compiled VM's raw policy (compile/vm.cpp). The bodies keep the
+// accessor contract so both policies reach the same fixpoint: write only the
+// fields listed above, and never read a driven field back — keep the value
+// in a local (under sharding a boundary read-back returns the round-start
+// value; the raw policy never sees boundary slots). Per-cycle inputs come
+// only through the policy (cycle(), choice()), statistics only when
+// applyStats is set.
 #pragma once
 
 #include <memory>
@@ -23,14 +34,6 @@
 namespace esl {
 
 class SimContext;
-
-namespace compile {
-/// Bytecode VM of the compiled backend (compile/vm.h). A friend of the node
-/// catalog: its specialized ops transcribe each node's evalComb/clockEdge
-/// over raw board addresses and the same arena records, using each kind's
-/// private record layout and configuration.
-class Vm;
-}  // namespace compile
 
 /// Timing nets: per channel, the forward (valid/data) and backward
 /// (stop/anti-token) signal groups settle at separate times.

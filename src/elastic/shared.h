@@ -16,7 +16,7 @@
 
 #include <memory>
 
-#include "elastic/context.h"
+#include "elastic/board_io.h"
 #include "elastic/node.h"
 #include "sched/scheduler.h"
 
@@ -53,7 +53,7 @@ class SharedModule : public Node {
   sched::Scheduler& scheduler() { return *scheduler_; }
 
   /// The channel predicted for the current cycle (e.g. for trace rows).
-  unsigned prediction(SimContext& ctx) { return predictNow(ctx); }
+  unsigned prediction(SimContext& ctx);
 
   /// Tokens served per channel (forward transfers on the outputs).
   const std::vector<std::uint64_t>& servedPerChannel() const { return served_; }
@@ -61,10 +61,17 @@ class SharedModule : public Node {
   std::uint64_t demandCycles() const { return demandCycles_; }
   std::uint64_t totalServed() const;
 
- private:
-  friend class compile::Vm;
+  /// Cycle semantics over a port-accessor policy (elastic/board_io.h), shared
+  /// by evalComb/clockEdge and the compiled VM. `applyStats == false` (the
+  /// compiled edge audit's replay) leaves the statistics alone.
+  template <class Io>
+  void comb(Io& io);
+  template <class Io>
+  void edge(Io& io, bool applyStats);
 
-  unsigned predictNow(SimContext& ctx);
+ private:
+  template <class Io>
+  unsigned predict(Io& io);
 
   unsigned channels_;
   unsigned inWidth_;
@@ -87,5 +94,76 @@ class SharedModule : public Node {
   std::vector<bool> validScratch_;
   sched::Observation obsScratch_;
 };
+
+template <class Io>
+inline unsigned SharedModule::predict(Io& io) {
+  validScratch_.resize(channels_);
+  for (unsigned i = 0; i < channels_; ++i) validScratch_[i] = io.vf(io.in(i));
+  const sched::ChoiceReader reader = [&io](unsigned b) { return io.choice(b); };
+  const unsigned p = scheduler_->predict(validScratch_, reader);
+  ESL_CHECK(p < channels_, "SharedModule: scheduler predicted out of range");
+  lastPrediction_ = p;
+  return p;
+}
+
+template <class Io>
+inline void SharedModule::comb(Io& io) {
+  const unsigned sched = predict(io);
+  for (unsigned i = 0; i < channels_; ++i) {
+    const auto& in = io.in(i);
+    const auto& out = io.out(i);
+    const bool routed = i == sched;
+
+    const bool inVf = io.vf(in);
+    const bool outVf = routed && inVf;
+    io.setVf(out, outVf);
+    if (outVf) {
+      if (!memoValid_ || !io.dataEquals(in, memoIn_)) {
+        memoIn_ = io.data(in);
+        memoOut_ = fn_(memoIn_);
+        ESL_CHECK(memoOut_.width() == outWidth_,
+                  "SharedModule '" + name() + "': function returned wrong width");
+        memoValid_ = true;
+      }
+      io.setData(out, memoOut_);
+    }
+
+    // Anti-tokens pass straight through the controller (Fig. 4b): the module
+    // is combinational, so the token seen at out_i *is* the token at in_i and
+    // a kill annihilates it at both channel views at once.
+    const bool anti = io.vb(out);
+    io.setVb(in, anti);
+    io.setSb(out, !inVf && io.sb(in));
+
+    // Routed channel sees the downstream stop; others are stopped unless
+    // being killed ("stops the other channel (unless it is killed)").
+    io.setSf(in, !anti && (routed ? io.sf(out) : true));
+  }
+}
+
+template <class Io>
+inline void SharedModule::edge(Io& io, bool applyStats) {
+  // comb ran (at least once) on the settled signals, so lastPrediction_ is
+  // the settled prediction; predict() is pure, no need to recompute it.
+  sched::Observation& obs = obsScratch_;
+  obs.predicted = lastPrediction_;
+  obs.valid.resize(channels_);
+  obs.demand.resize(channels_);
+  obs.served.resize(channels_);
+  obs.killed.resize(channels_);
+  bool anyDemand = false;
+  for (unsigned i = 0; i < channels_; ++i) {
+    const PortEvents in = io.events(io.in(i));
+    const PortEvents out = io.events(io.out(i));
+    obs.valid[i] = in.vf;
+    obs.demand[i] = out.sf && !out.vf;  // selected-but-empty at the EE mux
+    obs.served[i] = out.fwd;
+    obs.killed[i] = in.kill;
+    if (out.fwd && applyStats) ++served_[i];
+    anyDemand = anyDemand || obs.demand[i];
+  }
+  if (anyDemand && applyStats) ++demandCycles_;
+  scheduler_->observe(obs);
+}
 
 }  // namespace esl

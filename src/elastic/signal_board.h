@@ -28,10 +28,12 @@
 // kernel can seed their cross-shard readers.
 //
 // Node code never touches the planes directly: it reads and writes through
-// the Sig/ConstSig accessor proxies returned by SimContext::sig(). The
-// accessor contract for evalComb is strict: a node must NOT read back a
-// field it drives (cache the value in a local instead) — under sharding such
-// a read returns the round-start value, not the staged write.
+// the Sig/ConstSig accessor proxies returned by SimContext::sig() (catalog
+// kinds through the BoardIo policy built on them, or the compiled VM's raw
+// policy — see the raw arena access section below). The accessor contract
+// for evalComb is strict: a node must NOT read back a field it drives (cache
+// the value in a local instead) — under sharding such a read returns the
+// round-start value, not the staged write.
 #pragma once
 
 #include <cstdint>
@@ -42,6 +44,19 @@
 namespace esl {
 
 class Netlist;
+
+/// One channel's settled control bits and the three events they encode
+/// (mirrors the killEvent/fwdTransfer/bwdTransfer predicates); the edge phase
+/// of every catalog kind reads its ports through this.
+struct PortEvents {
+  bool vf, sf, vb, sb;
+  bool fwd;   ///< vf & ~sf & ~vb
+  bool kill;  ///< vf & vb
+  bool bwd;   ///< vb & ~sb & ~vf
+  static PortEvents of(bool vf, bool sf, bool vb, bool sb) {
+    return {vf, sf, vb, sb, vf && !sf && !vb, vf && vb, vb && !sb && !vf};
+  }
+};
 
 /// Partition of a netlist's nodes into shards (contiguous blocks of the live
 /// node order). shards == 1 means no partitioning: every channel is interior.
@@ -229,6 +244,13 @@ class SignalBoard {
     e.bwd = vb & ~sb & ~vf;
     return e;
   }
+  /// One channel's settled bits and events, from one pass over its group.
+  PortEvents eventsAt(std::uint32_t slot) const {
+    const std::uint64_t* g = &ctrl_[groupBase(slot)];
+    const std::uint64_t m = std::uint64_t{1} << (slot & 63);
+    return PortEvents::of((g[kVf] & m) != 0, (g[kSf] & m) != 0,
+                          (g[kVb] & m) != 0, (g[kSb] & m) != 0);
+  }
   /// vf|vb of one group: channels carrying a token or anti-token ("hot").
   std::uint64_t activityAtGroup(std::size_t group) const {
     return ctrl_[group * 4 + kVf] | ctrl_[group * 4 + kVb];
@@ -246,18 +268,18 @@ class SignalBoard {
   }
 
   // --- raw arena access (compiled backend) -----------------------------------
-  // The bytecode VM (compile/vm.h) addresses the planes and payload arenas
-  // directly, with all offsets resolved at program-compile time; its write
-  // helpers mirror setBitAt/setDataAt exactly, including change tracking.
-  // Raw writes are only valid on slots the boundary staging never covers:
-  // under sharding the compiler downgrades every node touching a boundary
-  // slot to a generic op (virtual eval through the Sig proxies, which honor
-  // staging), so specialized ops only ever store to interior, owner-exclusive
-  // plane ranges.
+  // The compiled VM's port-accessor policy (compile::RawIo, compile/vm.cpp)
+  // addresses the planes and payload arenas directly, with all offsets
+  // resolved at program-compile time; its writes mirror setBitAt/setDataAt
+  // exactly, including change tracking, so each kind's one comb/edge body
+  // behaves the same over either policy. Raw writes are only valid on slots
+  // the boundary staging never covers: under sharding the compiler
+  // downgrades every node touching a boundary slot to a generic op (virtual
+  // eval through BoardIo's Sig proxies, which honor staging), so specialized
+  // ops only ever store to interior, owner-exclusive plane ranges.
 
   std::uint64_t* ctrlData() { return ctrl_.data(); }
   std::uint64_t* payloadData() { return words_.data(); }
-  BitVec* spillData() { return spill_.data(); }
   std::uint64_t* changedData() { return changed_.data(); }
   /// Payload arena offset of a slot: word index, or spill index | kWideFlag,
   /// or kNoSlot for zero-width channels.

@@ -25,53 +25,13 @@ void StallingVLU::reset() {
 }
 
 void StallingVLU::evalComb(SimContext& ctx) {
-  const std::uint64_t* s = ctx.state(*this);
-  Sig in = ctx.sig(input(0));
-  Sig out = ctx.sig(output(0));
-
-  const bool haveResult = (s[kFlags] & kResult) != 0;
-  out.setVf(haveResult);
-  if (haveResult) out.setData(loadPayload(s + resultOff(), outWidth_));
-  out.setSb(!haveResult);  // anti-token consumed only against a result
-
-  const bool leave = haveResult && (!out.sf() || out.vb());
-  const bool canAccept = (s[kFlags] & kPending) == 0 && (!haveResult || leave);
-  in.setSf(!canAccept);
-  in.setVb(false);
+  BoardIo io(ctx, *this);
+  comb(io, ctx.state(*this));
 }
 
 void StallingVLU::clockEdge(SimContext& ctx) {
-  std::uint64_t* s = ctx.state(*this);
-  const ConstSig in = ctx.sig(input(0));
-  const ConstSig out = ctx.sig(output(0));
-  bool hasPending = (s[kFlags] & kPending) != 0;
-  bool hasResult = (s[kFlags] & kResult) != 0;
-
-  if (killEvent(out) || fwdTransfer(out)) {
-    if (fwdTransfer(out)) ++completed_;
-    hasResult = false;
-  }
-
-  if (hasPending) {
-    // Second cycle of a mispredicted operand: F_exact finishes the job.
-    ESL_ASSERT(!hasResult);
-    storePayload(s + resultOff(), exact_(loadPayload(s + kPendingOff, inWidth_)),
-                 outWidth_);
-    hasResult = true;
-    hasPending = false;
-  } else if (fwdTransfer(in)) {
-    const BitVec x = in.data();
-    if (err_(x)) {
-      storePayload(s + kPendingOff, x, inWidth_);  // bubble next cycle, sender stalled
-      hasPending = true;
-      ++stalls_;
-    } else {
-      // approx == exact when no error is flagged
-      storePayload(s + resultOff(), exact_(x), outWidth_);
-      hasResult = true;
-    }
-  }
-  s[kFlags] = (hasPending ? kPending : 0) | (hasResult ? kResult : 0);
+  BoardIo io(ctx, *this);
+  edge(io, ctx.state(*this), true);
 }
 
 void StallingVLU::packRecord(const std::uint64_t* s, StateWriter& w) const {

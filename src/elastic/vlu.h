@@ -9,7 +9,7 @@
 // gating, which the timing model charges via controlGatingCost().
 #pragma once
 
-#include "elastic/context.h"
+#include "elastic/board_io.h"
 #include "elastic/node.h"
 
 namespace esl {
@@ -45,17 +45,24 @@ class StallingVLU : public Node {
   std::uint64_t completed() const { return completed_; }
   std::uint64_t stalls() const { return stalls_; }
 
- private:
-  friend class compile::Vm;
+  /// Cycle semantics over a port-accessor policy (elastic/board_io.h), shared
+  /// by evalComb/clockEdge and the compiled VM. `applyStats == false` (the
+  /// compiled edge audit's replay) leaves the statistics alone.
+  template <class Io>
+  static void comb(Io& io, const std::uint64_t* s);
+  template <class Io>
+  void edge(Io& io, std::uint64_t* s, bool applyStats);
 
+ private:
   // Arena record: [kFlags] kPending | kResult, then the operand needing its
   // second cycle (from kPendingOff) and the completed result awaiting
-  // transfer (from resultOff()).
+  // transfer (from resultOff(), past the operand's payload words).
   static constexpr std::uint32_t kFlags = 0;
   static constexpr std::uint32_t kPendingOff = 1;
   static constexpr std::uint64_t kPending = 1;
   static constexpr std::uint64_t kResult = 2;
-  std::uint32_t resultOff() const { return kPendingOff + payloadWords(inWidth_); }
+  static std::uint32_t resultOff(unsigned inWords) { return kPendingOff + inWords; }
+  std::uint32_t resultOff() const { return resultOff(payloadWords(inWidth_)); }
 
   unsigned inWidth_;
   unsigned outWidth_;
@@ -68,5 +75,61 @@ class StallingVLU : public Node {
   std::uint64_t completed_ = 0;
   std::uint64_t stalls_ = 0;
 };
+
+template <class Io>
+inline void StallingVLU::comb(Io& io, const std::uint64_t* s) {
+  const auto& in = io.in(0);
+  const auto& out = io.out(0);
+
+  const bool haveResult = (s[kFlags] & kResult) != 0;
+  io.setVf(out, haveResult);
+  if (haveResult) io.setDataRecord(out, s + resultOff(io.payloadWords(in)));
+  io.setSb(out, !haveResult);  // anti-token consumed only against a result
+
+  const bool leave = haveResult && (!io.sf(out) || io.vb(out));
+  const bool canAccept = (s[kFlags] & kPending) == 0 && (!haveResult || leave);
+  io.setSf(in, !canAccept);
+  io.setVb(in, false);
+}
+
+template <class Io>
+inline void StallingVLU::edge(Io& io, std::uint64_t* s, bool applyStats) {
+  const auto& inPort = io.in(0);
+  const auto& outPort = io.out(0);
+  const PortEvents in = io.events(inPort);
+  const PortEvents out = io.events(outPort);
+  bool hasPending = (s[kFlags] & kPending) != 0;
+  bool hasResult = (s[kFlags] & kResult) != 0;
+
+  if (out.kill || out.fwd) {
+    if (out.fwd && applyStats) ++completed_;
+    hasResult = false;
+  }
+
+  if (hasPending || in.fwd) {
+    const unsigned inW = io.width(inPort);
+    const unsigned outW = io.width(outPort);
+    std::uint64_t* result = s + resultOff(io.payloadWords(inPort));
+    if (hasPending) {
+      // Second cycle of a mispredicted operand: F_exact finishes the job.
+      ESL_ASSERT(!hasResult);
+      storePayload(result, exact_(loadPayload(s + kPendingOff, inW)), outW);
+      hasResult = true;
+      hasPending = false;
+    } else {
+      const BitVec x = io.data(inPort);
+      if (err_(x)) {
+        storePayload(s + kPendingOff, x, inW);  // bubble, sender stalled
+        hasPending = true;
+        if (applyStats) ++stalls_;
+      } else {
+        // approx == exact when no error is flagged
+        storePayload(result, exact_(x), outW);
+        hasResult = true;
+      }
+    }
+  }
+  s[kFlags] = (hasPending ? kPending : 0) | (hasResult ? kResult : 0);
+}
 
 }  // namespace esl

@@ -16,9 +16,12 @@
 // clean under ASan/UBSan.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
+#include <typeinfo>
 #include <vector>
 
+#include "compile/compiler.h"
 #include "diff_kernels_util.h"
 #include "elastic/registry.h"
 #include "frontend/esl_format.h"
@@ -354,6 +357,109 @@ TEST(CompiledKernel, BackendSwitchMidRunPreservesSignals) {
   s.ctx().setBackend(SimContext::Backend::kInterpreted);
   s.run(80);
   EXPECT_EQ(s.ctx().packState(), reference);
+}
+
+/// Exact catalog type with every payload in one word: the nodes the compiler
+/// must lower to a specialized op (user subclasses and >64-bit payloads keep
+/// the virtual path by design).
+bool expectsSpecializedOp(const Node& node) {
+  const std::type_info& t = typeid(node);
+  const bool catalog =
+      t == typeid(ElasticBuffer) || t == typeid(ElasticBuffer0) ||
+      t == typeid(BrokenBuffer) || t == typeid(ForkNode) ||
+      t == typeid(FuncNode) || t == typeid(EarlyEvalMux) ||
+      t == typeid(TokenSource) || t == typeid(TokenSink) ||
+      t == typeid(NondetSource) || t == typeid(NondetSink) ||
+      t == typeid(SharedModule) || t == typeid(StallingVLU);
+  if (!catalog || node.numOutputs() > 64) return false;
+  for (unsigned i = 0; i < node.numInputs(); ++i)
+    if (node.inputWidth(i) > 64) return false;
+  for (unsigned o = 0; o < node.numOutputs(); ++o)
+    if (node.outputWidth(o) > 64) return false;
+  return true;
+}
+
+TEST(CompiledKernel, EveryCatalogKindLowersToASpecializedOp) {
+  // A kind that silently fell back to the virtual path would still pass every
+  // identity gate (same output, only slower), so the lowering itself is
+  // asserted here: serially no word-sized catalog node is kGeneric, and with
+  // a 2-shard plan exactly the boundary-adjacent ones are.
+  std::set<std::string> kinds;
+  const auto check = [&kinds](Netlist& nl, const std::string& what) {
+    SCOPED_TRACE(what);
+    // The compiler only copies record offsets; their values do not matter.
+    const std::vector<std::uint32_t> stateOff(nl.nodeCapacity(), 0);
+    SignalBoard serialBoard;
+    serialBoard.layout(nl);
+    const compile::Program serial =
+        compile::compileProgram(nl, serialBoard, stateOff);
+
+    const std::vector<NodeId> ids = nl.nodeIds();
+    ShardPlan plan;
+    plan.shards = 2;
+    plan.nodeShard.assign(nl.nodeCapacity(), 0);
+    for (std::size_t i = ids.size() / 2; i < ids.size(); ++i)
+      plan.nodeShard[ids[i]] = 1;
+    SignalBoard shardedBoard;
+    shardedBoard.layout(nl, &plan);
+    const compile::Program sharded =
+        compile::compileProgram(nl, shardedBoard, stateOff, &plan);
+
+    std::size_t boundaryNodes = 0;
+    for (const NodeId id : ids) {
+      const Node& node = nl.node(id);
+      bool boundary = false;
+      for (unsigned i = 0; i < node.numInputs(); ++i)
+        boundary = boundary ||
+                   shardedBoard.inBoundary(shardedBoard.slotOf(node.input(i)));
+      for (unsigned o = 0; o < node.numOutputs(); ++o)
+        boundary = boundary ||
+                   shardedBoard.inBoundary(shardedBoard.slotOf(node.output(o)));
+      if (boundary) ++boundaryNodes;
+      if (!expectsSpecializedOp(node)) continue;
+      kinds.insert(node.kindName());
+      const std::string label = node.name() + " (" + node.kindName() + ")";
+      EXPECT_NE(serial.ops[serial.opOf[id]].code, compile::OpCode::kGeneric)
+          << label;
+      EXPECT_EQ(sharded.ops[sharded.opOf[id]].code == compile::OpCode::kGeneric,
+                boundary)
+          << label << (boundary ? " touches" : " does not touch")
+          << " a boundary slot";
+    }
+    EXPECT_GT(boundaryNodes, 0u) << "the 2-shard plan cut no channel";
+  };
+
+  for (const std::string& name : patterns::designNames()) {
+    Netlist nl = frontend::buildEslFile(goldenPath(name));
+    check(nl, name);
+  }
+  for (const synth::Topology topo :
+       {synth::Topology::kPipeline, synth::Topology::kForkJoin,
+        synth::Topology::kSpecLadder, synth::Topology::kRandomDag}) {
+    for (const bool nondet : {false, true}) {
+      synth::SynthConfig cfg = famConfig(topo, 240, 2, 7);
+      cfg.vluPermille = 120;
+      cfg.nondetEnv = nondet;
+      Netlist nl = synth::buildNetlist(cfg);
+      check(nl, synth::describe(cfg));
+    }
+  }
+  // The two buffer variants no golden design or synth family instantiates.
+  Netlist buffers = frontend::parseEsl(R"(esl 1;
+node source src width=8 gen=counting;
+node eb0 e0 width=8;
+node broken-eb bad width=8;
+node sink out width=8;
+channel src.out0 -> e0.in0;
+channel e0.out0 -> bad.in0;
+channel bad.out0 -> out.in0;
+)").build();
+  check(buffers, "eb0 + broken-eb chain");
+
+  EXPECT_EQ(kinds, (std::set<std::string>{
+                       "eb", "eb0", "broken-eb", "fork", "func", "ee-mux",
+                       "source", "sink", "nondet-source", "nondet-sink",
+                       "shared", "stalling-vlu"}));
 }
 
 }  // namespace
