@@ -20,17 +20,16 @@ void SimContext::reset() {
   state_.clear();
   stateOff_.clear();
   cycle_ = 0;
-  havePrev_ = false;
   violations_.clear();
+  retry_.clear();
   ensureChoiceMap();
   hasFixedChoices_ = false;
   std::fill(choiceKnown_.begin(), choiceKnown_.end(), 0);
   topologySeen_ = ~std::uint64_t{0};  // force cache + layout + full-seed refresh
   ensureTopologyCache();
-  // The cache refresh re-laid the boards through the value-preserving adopt
+  // The cache refresh re-laid the board through the value-preserving adopt
   // path; a reset starts from all-zero signals.
   board_.clearValues();
-  prevBoard_.clearValues();
   invalidateSignals();
 }
 
@@ -68,9 +67,6 @@ void SimContext::ensureTopologyCache() {
       alwaysEdgeNodes_.push_back(id);
   }
   liveChannels_ = netlist_.channelIds();
-  channelPersistent_.assign(netlist_.channelCapacity(), true);
-  for (const ChannelId ch : liveChannels_)
-    channelPersistent_[ch] = netlist_.channelIsPersistent(ch);
 
   // Shard plan: contiguous blocks of the live-node order, balanced by count.
   // Blocks are snapped to 64-id boundaries so each worklist-bitmap word (and
@@ -98,20 +94,17 @@ void SimContext::ensureTopologyCache() {
       if (!nodeEdgeOnEvents_[id]) sh.alwaysEdge.push_back(id);
   }
 
-  // Re-layout the boards for the new topology/partition, preserving the
+  // Re-layout the board for the new topology/partition, preserving the
   // per-channel values of surviving channels (channels created since the last
   // reset — insertOnChannel, connect during interactive surgery — get zeroed
-  // slots before any kernel touches them).
+  // slots before any kernel touches them). The protocol monitor's Retry±
+  // obligations move with their channels: a token stopped on the cycle before
+  // a mid-run surgery must still be there after it.
   SignalBoard fresh;
   fresh.layout(netlist_, &plan_);
   fresh.adoptValuesFrom(board_);
+  remapRetryObligations(board_, fresh);
   board_ = std::move(fresh);
-  // prev() survives the relayout too (new channels read as all-zero): the
-  // protocol monitor must still see a Retry+ token that was stopped on the
-  // cycle before a mid-run surgery.
-  fresh.layout(netlist_, &plan_);
-  fresh.adoptValuesFrom(prevBoard_);
-  prevBoard_ = std::move(fresh);
   sweepScratch_.layout(netlist_, &plan_);
   ccPre_.layout(netlist_, &plan_);
   ccEvent_.layout(netlist_, &plan_);
@@ -363,40 +356,145 @@ void SimContext::settleCrossChecked() {
   }
 }
 
+namespace {
+// Monitor findings, indexed by Finding::what in the order a channel reports
+// them.
+constexpr const char* kFindingText[] = {
+    "token killed and stopped (V+ S+ V-)",
+    "anti-token killed and stopped (V- S- V+)",
+    "Retry+ violated: stopped token vanished",
+    "Retry+ persistence violated: data changed during retry",
+    "Retry- violated: stopped anti-token vanished",
+};
+enum : unsigned { kTokenKilledStopped, kAntiKilledStopped, kRetryVanished,
+                  kRetryDataChanged, kRetryAntiVanished };
+}  // namespace
+
 void SimContext::checkProtocol() {
-  auto report = [&](const Channel& ch, const std::string& what) {
+  ensureTopologyCache();
+  if (persistGeneration_ != board_.layoutGeneration()) rebuildPersistMask();
+  findings_.clear();
+  const auto flag = [&](std::size_t g, std::uint64_t bits, unsigned what) {
+    for (; bits != 0; bits &= bits - 1) {
+      const unsigned bit = static_cast<unsigned>(__builtin_ctzll(bits));
+      findings_.push_back(
+          {board_.channelAtSlot(static_cast<std::uint32_t>(g * 64 + bit)), what});
+    }
+  };
+  using P = SignalBoard::Plane;
+
+  // Invariant (paper §3.1): kill and stop are mutually exclusive, in both
+  // polarities.
+  const std::size_t groups = board_.groupCount();
+  for (std::size_t g = 0; g < groups; ++g) {
+    const std::uint64_t kill = board_.planeWord(g, P::kVf) & board_.planeWord(g, P::kVb);
+    if (kill == 0) continue;
+    flag(g, kill & board_.planeWord(g, P::kSf), kTokenKilledStopped);
+    flag(g, kill & board_.planeWord(g, P::kSb), kAntiKilledStopped);
+  }
+
+  // Retry+: a stopped token must persist (with its data) next cycle, on
+  // channels whose producer promises persistence. Retry-: a stopped
+  // anti-token must persist next cycle.
+  std::size_t kept = 0;  // cursor into retryData_
+  for (const RetryWord& r : retry_) {
+    const std::uint64_t vf = board_.planeWord(r.group, P::kVf);
+    const std::uint64_t checked = r.fwd & persistMask_[r.group];
+    flag(r.group, checked & ~vf, kRetryVanished);
+    std::uint64_t changed = 0;
+    for (std::uint64_t f = r.fwd; f != 0; f &= f - 1, ++kept) {
+      const std::uint64_t m = f & -f;
+      const auto slot = static_cast<std::uint32_t>(r.group * 64 + __builtin_ctzll(f));
+      if ((checked & vf & m) && !board_.dataEqualsValueAt(slot, retryData_[kept]))
+        changed |= m;
+    }
+    flag(r.group, changed, kRetryDataChanged);
+    flag(r.group, r.bwd & ~board_.planeWord(r.group, P::kVb), kRetryAntiVanished);
+  }
+  if (!findings_.empty()) reportFindings();
+}
+
+void SimContext::reportFindings() {
+  // Live-channel order (liveChannels_ ascends by id), then check order within
+  // a channel — whatever the board's slot permutation.
+  std::sort(findings_.begin(), findings_.end(), [](const Finding& a, const Finding& b) {
+    return a.ch != b.ch ? a.ch < b.ch : a.what < b.what;
+  });
+  for (const Finding& f : findings_) {
     const std::string msg = "cycle " + std::to_string(cycle_) + ", channel '" +
-                            ch.name + "': " + what;
+                            netlist_.channel(f.ch).name + "': " + kFindingText[f.what];
     violations_.push_back(msg);
     if (throwOnViolation_) throw ProtocolError(msg);
+  }
+}
+
+void SimContext::rebuildPersistMask() {
+  persistMask_.assign(board_.groupCount(), 0);
+  for (const ChannelId ch : liveChannels_) {
+    if (!netlist_.channelIsPersistent(ch)) continue;
+    const std::uint32_t slot = board_.slotOf(ch);
+    persistMask_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
+  }
+  persistGeneration_ = board_.layoutGeneration();
+}
+
+void SimContext::recordRetryObligations() {
+  retry_.clear();
+  retryData_.clear();
+  using P = SignalBoard::Plane;
+  const std::size_t groups = board_.groupCount();
+  for (std::size_t g = 0; g < groups; ++g) {
+    const std::uint64_t vf = board_.planeWord(g, P::kVf);
+    const std::uint64_t vb = board_.planeWord(g, P::kVb);
+    if ((vf | vb) == 0) continue;
+    // Unfiltered by persistence: the check applies the mask of the topology
+    // in force then, which a surgery in between may have changed.
+    const std::uint64_t fwd = vf & board_.planeWord(g, P::kSf) & ~vb;
+    const std::uint64_t bwd = vb & board_.planeWord(g, P::kSb) & ~vf;
+    if ((fwd | bwd) == 0) continue;
+    retry_.push_back({static_cast<std::uint32_t>(g), fwd, bwd});
+    for (std::uint64_t f = fwd; f != 0; f &= f - 1)
+      retryData_.push_back(
+          board_.dataAt(static_cast<std::uint32_t>(g * 64 + __builtin_ctzll(f))));
+  }
+}
+
+void SimContext::remapRetryObligations(const SignalBoard& from, const SignalBoard& to) {
+  if (retry_.empty()) return;
+  // Like SignalBoard::adoptValuesFrom: a channel both layouts know with the
+  // same width keeps its obligation.
+  struct Moved {
+    std::uint32_t slot;
+    bool fwd, bwd;
+    BitVec kept;
   };
-
-  ensureTopologyCache();
-  for (const ChannelId id : liveChannels_) {
-    const Channel& ch = netlist_.channel(id);
-    const std::uint32_t slot = board_.slotOf(id);
-    const ChannelSignals cur = board_.snapshotAt(slot);
-
-    // Invariant (paper §3.1): kill and stop are mutually exclusive, in both
-    // polarities.
-    if (cur.vf && cur.vb && cur.sf) report(ch, "token killed and stopped (V+ S+ V-)");
-    if (cur.vf && cur.vb && cur.sb)
-      report(ch, "anti-token killed and stopped (V- S- V+)");
-
-    if (!havePrev_) continue;
-    const ChannelSignals prevSig = prevBoard_.snapshotAt(slot);
-    const bool relaxed = !channelPersistent_[id];
-
-    // Retry+: a stopped token must persist (with its data) next cycle.
-    if (prevSig.vf && prevSig.sf && !prevSig.vb && !relaxed) {
-      if (!cur.vf)
-        report(ch, "Retry+ violated: stopped token vanished");
-      else if (cur.data != prevSig.data)
-        report(ch, "Retry+ persistence violated: data changed during retry");
+  std::vector<Moved> moved;
+  std::size_t kept = 0;
+  for (const RetryWord& r : retry_) {
+    for (std::uint64_t any = r.fwd | r.bwd; any != 0; any &= any - 1) {
+      const std::uint64_t m = any & -any;
+      const auto slot = static_cast<std::uint32_t>(r.group * 64 + __builtin_ctzll(any));
+      const bool fwd = (r.fwd & m) != 0;
+      BitVec data = fwd ? std::move(retryData_[kept++]) : BitVec();
+      const std::uint32_t dst = to.slotOf(from.channelAtSlot(slot));
+      if (dst == SignalBoard::kNoSlot || to.widthAtSlot(dst) != from.widthAtSlot(slot))
+        continue;
+      moved.push_back({dst, fwd, (r.bwd & m) != 0, std::move(data)});
     }
-    // Retry-: a stopped anti-token must persist next cycle.
-    if (prevSig.vb && prevSig.sb && !prevSig.vf && !cur.vb)
-      report(ch, "Retry- violated: stopped anti-token vanished");
+  }
+  std::sort(moved.begin(), moved.end(),
+            [](const Moved& a, const Moved& b) { return a.slot < b.slot; });
+  retry_.clear();
+  retryData_.clear();
+  for (Moved& mv : moved) {
+    const std::uint32_t g = mv.slot >> 6;
+    const std::uint64_t m = std::uint64_t{1} << (mv.slot & 63);
+    if (retry_.empty() || retry_.back().group != g) retry_.push_back({g, 0, 0});
+    if (mv.fwd) {
+      retry_.back().fwd |= m;
+      retryData_.push_back(std::move(mv.kept));
+    }
+    if (mv.bwd) retry_.back().bwd |= m;
   }
 }
 
@@ -495,15 +593,11 @@ void SimContext::edgeAudited() {
 }
 
 void SimContext::edgeEpilogue() {
-  // prev() is only consumed by the protocol monitors, so the snapshot is
-  // skipped entirely when they are off. Board-to-board value copy: straight
-  // word vectors, no per-channel BitVec traffic.
-  if (protocolChecking_) {
-    prevBoard_.copyValuesFrom(board_);
-    havePrev_ = true;
-  } else {
-    havePrev_ = false;
-  }
+  // Only a monitored edge leaves Retry± obligations for the next check.
+  if (protocolChecking_)
+    recordRetryObligations();
+  else
+    retry_.clear();
   hasFixedChoices_ = false;
   std::fill(choiceKnown_.begin(), choiceKnown_.end(), 0);
   ++cycle_;
@@ -599,7 +693,7 @@ void SimContext::unpackState(const std::vector<std::uint8_t>& bytes) {
   StateReader r(bytes, off);
   for (const NodeId id : liveNodes_) unpackNode(*nodePtr_[id], r);
   ESL_CHECK(r.done(), "unpackState: trailing bytes (netlist/state mismatch)");
-  havePrev_ = false;
+  retry_.clear();  // the restored cycle has no monitored predecessor
   sparseSeedValid_ = false;  // arbitrary state replacement: reseed stateful set
 }
 

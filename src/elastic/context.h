@@ -56,6 +56,24 @@
 // environment nodes (random under simulation, enumerated under verification)
 // and optionally monitors the SELF protocol properties of paper §3.1 on every
 // channel (Retry+/Retry-, kill/stop exclusion, persistence).
+//
+// --- SELF protocol monitor --------------------------------------------------
+//
+// checkProtocol() works on the bitplanes, 64 channels per word, and keeps no
+// copy of the previous cycle's board:
+//   * kill/stop exclusion is vf&vb&(sf|sb) per plane group;
+//   * the monitored edge records the next cycle's Retry± obligations as
+//     per-group masks — Retry+ vf&sf&~vb (with the payloads of those slots
+//     only), Retry- vb&sb&~vf — and the next check visits only the groups
+//     that hold one. Retry+ is filtered by a persistence mask plane at check
+//     time (the topology then in force decides, as after a mid-run surgery);
+//   * obligations follow their channels across a relayout (surgery, shard
+//     count change): surviving channels keep theirs, new channels start
+//     with none, removed ones drop theirs.
+// Only flagged channels reach the per-channel reporting path, which emits
+// the messages in live-channel (ascending id) order whatever the slot
+// permutation, so the reports are identical on every backend and shard
+// count.
 #pragma once
 
 #include <cstdint>
@@ -154,9 +172,6 @@ class SimContext {
   ConstSig sig(ChannelId ch) const {
     return {board_, slotOrThrow(ch)};
   }
-  /// Settled signals of the previous cycle. Maintained only while protocol
-  /// checking is enabled (its sole consumer); stale otherwise.
-  ConstSig prev(ChannelId ch) const { return {prevBoard_, slotOrThrow(ch)}; }
 
   /// The signal board itself (word-parallel consumers: statistics sweeps).
   const SignalBoard& board() const { return board_; }
@@ -205,6 +220,9 @@ class SimContext {
 
   // --- Protocol monitoring ---------------------------------------------------
 
+  /// Enables the monitor in step() and the Retry± bookkeeping of edge(). A
+  /// cycle's Retry± obligations are recorded only by a monitored edge, so
+  /// they are checked from the second monitored cycle on.
   void setProtocolChecking(bool enabled) { protocolChecking_ = enabled; }
   void setThrowOnViolation(bool enabled) { throwOnViolation_ = enabled; }
   const std::vector<std::string>& protocolViolations() const { return violations_; }
@@ -550,6 +568,17 @@ class SimContext {
   void edgeFull();
   void edgeAudited();
   void edgeEpilogue();
+
+  // SELF monitor internals (see the file header).
+  /// Rebuilds persistMask_ for the current board layout.
+  void rebuildPersistMask();
+  /// Records the settled board's Retry± obligations for the next check.
+  void recordRetryObligations();
+  /// Re-keys the obligations from `from`'s slots to `to`'s, by channel.
+  void remapRetryObligations(const SignalBoard& from, const SignalBoard& to);
+  /// Emits the findings' messages (sorted into report order).
+  void reportFindings();
+
   /// Scans plane groups [lo, hi) for event bits, calling mark(node) on each
   /// adjacent endpoint (owner filtering is the caller's mark).
   template <typename Mark>
@@ -574,14 +603,12 @@ class SimContext {
 
   Netlist& netlist_;
   SignalBoard board_;       ///< current signals (SoA)
-  SignalBoard prevBoard_;   ///< previous settled cycle (protocol monitor only)
   // Value-snapshot scratch boards (sweep convergence, cross-check pre/event),
   // re-laid only when the topology cache refreshes — never per settle.
   SignalBoard sweepScratch_;
   SignalBoard ccPre_;
   SignalBoard ccEvent_;
   std::uint64_t cycle_ = 0;
-  bool havePrev_ = false;
 
   // Event-driven kernel state (scratch, reused across settles).
   SettleKernel kernel_ = SettleKernel::kEventDriven;
@@ -633,7 +660,7 @@ class SimContext {
   std::vector<std::uint64_t> state_;
   std::vector<std::uint32_t> stateOff_;  ///< NodeId -> record offset, or kNoState
 
-  // Per-topology caches (live ids, seed set, channel persistence), refreshed
+  // Per-topology caches (live ids, seed sets, adjacency), refreshed
   // whenever the netlist's topologyVersion moves (or the shard count does).
   std::uint64_t topologySeen_ = ~std::uint64_t{0};
   unsigned shardsSeen_ = 0;
@@ -656,7 +683,6 @@ class SimContext {
   std::vector<std::uint8_t> nodeEdgeOnEvents_;  ///< kOnEvents flag per node
   std::vector<std::uint8_t> nodeStateful_;      ///< !kCombPure flag per node
   std::vector<ChannelId> liveChannels_;
-  std::vector<bool> channelPersistent_;
 
   // Choice bookkeeping: per-node offset into the per-cycle assignment. The
   // cache is two packed bitplanes (known/value) so the per-cycle clear — and
@@ -672,6 +698,27 @@ class SimContext {
   bool protocolChecking_ = false;
   bool throwOnViolation_ = false;
   std::vector<std::string> violations_;
+
+  // SELF monitor state. The obligations are what the last monitored edge
+  // left for the next check; an unmonitored edge, reset() and unpackState()
+  // clear them.
+  struct RetryWord {
+    std::uint32_t group;  ///< plane group (slots group*64 .. group*64+63)
+    std::uint64_t fwd;    ///< Retry+: vf&sf&~vb — the stopped token must stay
+    std::uint64_t bwd;    ///< Retry-: vb&sb&~vf — the stopped anti-token must stay
+  };
+  std::vector<RetryWord> retry_;          ///< groups with an obligation, ascending
+  /// The payload of each Retry+ slot, in slot order.
+  std::vector<BitVec> retryData_;
+  /// Per plane group: the live channels whose Retry+ is checked (persistent
+  /// producers, Netlist::channelIsPersistent), for layout persistGeneration_.
+  std::vector<std::uint64_t> persistMask_;
+  std::uint64_t persistGeneration_ = 0;
+  struct Finding {
+    ChannelId ch;
+    unsigned what;  ///< index into the message table, in report order
+  };
+  std::vector<Finding> findings_;  ///< per-check scratch: flagged channels
 };
 
 }  // namespace esl

@@ -8,10 +8,14 @@
 // cache-linear and word-parallel:
 //   * the event kernel's change detection compares one plane group + one
 //     arena word instead of striding over scattered BitVecs;
-//   * the clock-edge event scan and the per-channel statistics become
-//     bitplane sweeps (transfer/kill masks computed 64 channels at a time);
-//   * snapshot/compare of the whole board (sweep kernel, cross-check,
-//     protocol prev()) is a straight word copy.
+//   * the clock-edge event scan, the per-channel statistics and the SELF
+//     protocol monitor become bitplane sweeps (transfer/kill/stop masks
+//     computed 64 channels at a time);
+//   * snapshot/compare of the whole board (sweep kernel, cross-check) is a
+//     straight word copy.
+// The per-channel AoS form (snapshotAt, ConstSig's ChannelSignals
+// conversion) is off every hot path: the settle cross-check's error text
+// and tests use it.
 //
 // Channels are assigned *slots* by layout(). With a ShardPlan the slots are
 // permuted so that each shard's interior channels (both endpoints owned by
@@ -256,7 +260,8 @@ class SignalBoard {
     return ctrl_[group * 4 + kVf] | ctrl_[group * 4 + kVb];
   }
 
-  /// Snapshot of one channel in the legacy AoS struct form.
+  /// Snapshot of one channel in the legacy AoS struct form (cross-check
+  /// error text, ConstSig's ChannelSignals conversion).
   ChannelSignals snapshotAt(std::uint32_t slot) const {
     ChannelSignals s;
     s.vf = bitAt(slot, kVf);

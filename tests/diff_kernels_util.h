@@ -3,12 +3,15 @@
 //
 // One trial builds the same synthetic system three times — reference sweep,
 // event-driven interpreter, compiled bytecode VM — runs the instances in
-// lockstep, and asserts identical packed netlist state after EVERY cycle
-// (plus identical sink transfer streams at the end) — a much stronger oracle
-// than end-of-run outputs, since a divergence that later self-corrects still
-// fails. On failure the driver greedily shrinks the offending SynthConfig
-// (fewer nodes, plainer traffic, fewer cycles) while the mismatch reproduces,
-// so the reported seed/config is a minimal repro.
+// lockstep, and asserts identical packed netlist state and SELF protocol
+// monitor reports after EVERY cycle (plus identical sink transfer streams at
+// the end) — a much stronger oracle than end-of-run outputs, since a
+// divergence that later self-corrects still fails. Every harness runs at the
+// simulator's default options (monitor and channel statistics on), except
+// that a violation is collected rather than thrown so it can be compared. On
+// failure the driver greedily shrinks the offending SynthConfig (fewer nodes,
+// plainer traffic, fewer cycles) while the mismatch reproduces, so the
+// reported seed/config is a minimal repro.
 #pragma once
 
 #include <optional>
@@ -18,6 +21,25 @@
 #include "sim/simulator.h"
 
 namespace esl::test {
+
+/// The harnesses' options: SimOptions defaults, violations collected.
+inline sim::SimOptions diffBaseOptions() {
+  sim::SimOptions o;
+  o.throwOnViolation = false;
+  return o;
+}
+
+/// Compares two instances' monitor reports; `label` names the pair.
+inline std::optional<std::string> diffViolations(sim::Simulator& a,
+                                                 sim::Simulator& b,
+                                                 const std::string& label) {
+  const auto& va = a.ctx().protocolViolations();
+  const auto& vb = b.ctx().protocolViolations();
+  if (va == vb) return std::nullopt;
+  return label + ": protocol monitor reports differ at cycle " +
+         std::to_string(a.cycle()) + " (" + std::to_string(va.size()) + " vs " +
+         std::to_string(vb.size()) + " violations)";
+}
 
 /// Compares the two sinks' transfer streams; `label` names the pair.
 inline std::optional<std::string> diffSinkStreams(const TokenSink* a,
@@ -43,8 +65,7 @@ inline std::optional<std::string> diffKernelsOnce(const synth::SynthConfig& cfg,
   synth::SynthSystem sweep = synth::build(cfg);
   synth::SynthSystem event = synth::build(cfg);
   synth::SynthSystem comp = synth::build(cfg);
-  sim::SimOptions base;
-  base.checkProtocol = false;  // the oracle is state equality, keep runs lean
+  const sim::SimOptions base = diffBaseOptions();
   sim::SimOptions sweepOpts = base, eventOpts = base, compOpts = base;
   sweepOpts.kernel = SimContext::SettleKernel::kSweep;
   eventOpts.kernel = SimContext::SettleKernel::kEventDriven;
@@ -64,6 +85,8 @@ inline std::optional<std::string> diffKernelsOnce(const synth::SynthConfig& cfg,
     if (se.ctx().packState() != sc.ctx().packState())
       return "event-vs-compiled: packed state diverged at cycle " +
              std::to_string(c);
+    if (auto d = diffViolations(ss, se, "sweep-vs-event")) return d;
+    if (auto d = diffViolations(se, sc, "event-vs-compiled")) return d;
   }
   if (auto d = diffSinkStreams(sweep.mainSink, event.mainSink, "sweep-vs-event"))
     return d;
@@ -80,8 +103,7 @@ inline std::optional<std::string> diffCompiledOnce(const synth::SynthConfig& cfg
                                                    std::uint64_t cycles) {
   synth::SynthSystem interp = synth::build(cfg);
   synth::SynthSystem comp = synth::build(cfg);
-  sim::SimOptions base;
-  base.checkProtocol = false;
+  const sim::SimOptions base = diffBaseOptions();
   sim::SimOptions compOpts = base;
   compOpts.backend = SimContext::Backend::kCompiled;
   sim::Simulator si(interp.nl, base);
@@ -92,6 +114,7 @@ inline std::optional<std::string> diffCompiledOnce(const synth::SynthConfig& cfg
     sc.step();
     if (si.ctx().packState() != sc.ctx().packState())
       return "packed state diverged at cycle " + std::to_string(c);
+    if (auto d = diffViolations(si, sc, "interp-vs-compiled")) return d;
   }
   return diffSinkStreams(interp.mainSink, comp.mainSink, "interp-vs-compiled");
 }
@@ -105,8 +128,7 @@ inline std::optional<std::string> diffShardedOnce(const synth::SynthConfig& cfg,
                                                   unsigned shards) {
   synth::SynthSystem serial = synth::build(cfg);
   synth::SynthSystem sharded = synth::build(cfg);
-  sim::SimOptions base;
-  base.checkProtocol = false;
+  const sim::SimOptions base = diffBaseOptions();
   sim::SimOptions shardedOpts = base;
   shardedOpts.shards = shards;
   sim::Simulator ss(serial.nl, base);
@@ -118,6 +140,7 @@ inline std::optional<std::string> diffShardedOnce(const synth::SynthConfig& cfg,
     if (ss.ctx().packState() != sh.ctx().packState())
       return "packed state diverged at cycle " + std::to_string(c) + " (" +
              std::to_string(shards) + " shards)";
+    if (auto d = diffViolations(ss, sh, "serial-vs-sharded")) return d;
   }
   if (serial.mainSink != nullptr && sharded.mainSink != nullptr) {
     const auto& a = serial.mainSink->transfers();
@@ -141,8 +164,7 @@ inline std::optional<std::string> diffCompiledShardedOnce(
     const synth::SynthConfig& cfg, std::uint64_t cycles, unsigned shards) {
   synth::SynthSystem serial = synth::build(cfg);
   synth::SynthSystem sharded = synth::build(cfg);
-  sim::SimOptions base;
-  base.checkProtocol = false;
+  sim::SimOptions base = diffBaseOptions();
   base.backend = SimContext::Backend::kCompiled;
   sim::SimOptions shardedOpts = base;
   shardedOpts.shards = shards;
@@ -155,6 +177,7 @@ inline std::optional<std::string> diffCompiledShardedOnce(
     if (ss.ctx().packState() != sh.ctx().packState())
       return "compiled packed state diverged at cycle " + std::to_string(c) +
              " (" + std::to_string(shards) + " shards)";
+    if (auto d = diffViolations(ss, sh, "compiled-serial-vs-sharded")) return d;
   }
   return diffSinkStreams(serial.mainSink, sharded.mainSink,
                          "compiled-serial-vs-sharded");

@@ -1,6 +1,7 @@
 // Property-based differential test: sweep kernel, event-driven kernel and
 // compiled bytecode VM co-simulated over seeded synthetic netlists, asserting
-// identical packed state every cycle (see diff_kernels_util.h for the
+// identical packed state and protocol monitor reports every cycle, at the
+// simulator's default options (see diff_kernels_util.h for the
 // three-way oracle and the shrink-on-failure reporting, which names the
 // diverging pair). This is the PR-fast slice — a spread of
 // seeds, topologies and traffic patterns per family; the multi-hundred-config

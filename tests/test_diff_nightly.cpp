@@ -1,7 +1,8 @@
 // Nightly differential fuzz campaign: hundreds of random SynthConfigs ×
 // traffic patterns, three-way sweep vs event vs compiled-bytecode lockstep,
-// packed-state equality every cycle (oracle + shrink-on-failure in
-// diff_kernels_util.h; mismatches name the diverging pair).
+// packed-state and protocol-report equality every cycle (oracle +
+// shrink-on-failure in diff_kernels_util.h; mismatches name the diverging
+// pair).
 //
 // Runs under the `nightly` CTest label: PR CI excludes it (-LE nightly) to
 // stay fast; the scheduled nightly workflow and a plain local `ctest` run it.
