@@ -177,30 +177,20 @@ void Vm::bind() {
   records_ = ctx_.state_.data();
 }
 
-void Vm::settle() {
+void Vm::prepare() {
   ctx_.ensureTopologyCache();  // board layout current before addressing it
   ensureProgram();
   bind();
-  if (ctx_.shards_ > 1)
-    ctx_.settleShardedWith([this](NodeId id) { evalNode(id); });
-  else
-    ctx_.settleEventDrivenWith([this](NodeId id) { evalNode(id); });
+}
+
+void Vm::settle() {
+  prepare();
+  ctx_.settleWith([this](NodeId id) { evalNode(id); });
 }
 
 void Vm::edge() {
-  ctx_.ensureTopologyCache();
-  ensureProgram();
-  bind();
-  if (ctx_.shards_ > 1)
-    ctx_.edgeShardedWith([this](NodeId id) { edgeNode(id, true); });
-  else
-    ctx_.edgeSparseWith([this](NodeId id) { edgeNode(id, true); });
-}
-
-void Vm::prepare() {
-  ctx_.ensureTopologyCache();
-  ensureProgram();
-  bind();
+  prepare();
+  ctx_.edgeWith([this](NodeId id) { edgeNode(id, true); });
 }
 
 bool Vm::hasSpecializedOpFor(NodeId id) const {

@@ -1,13 +1,13 @@
 // Bytecode VM for the compiled simulation backend.
 //
 // Executes the Program produced by compile/compiler.h over the SimContext's
-// SignalBoard arena. The VM reuses the context's event-driven kernel loops
-// verbatim (the drainShardWith/edgeSparseWith templates — and their sharded
-// counterparts settleShardedWith/edgeShardedWith when shards > 1), swapping
-// only the per-node dispatch: instead of `nodePtr_[id]->evalComb(ctx)` it
-// runs a specialized op over pre-resolved word/bitplane addresses — the
-// settle stays a bitmap worklist and the edge stays a hot-group event scan,
-// so cycles stay O(active) while per-node cost drops to raw loads/stores.
+// SignalBoard arena. The VM runs the context's one event-kernel loop per
+// phase verbatim — the settleWith and edgeWith templates, which serve every
+// shard count — swapping only the per-node dispatch: instead of
+// `nodePtr_[id]->evalComb(ctx)` it runs a specialized op over pre-resolved
+// word/bitplane addresses — the settle stays a bitmap worklist and the edge
+// stays a hot-group event scan, so cycles stay O(active) while per-node cost
+// drops to raw loads/stores.
 //
 // --- Node state ----------------------------------------------------------------
 //
@@ -49,8 +49,8 @@
 // adjacent node generic (BoardIo's staging-aware Sig accessors), interior
 // specialized ops write owner-exclusive planes, and each shard's state
 // records start cache-line-aligned — so the staged boundary exchange of the
-// sharded kernels carries over unchanged and packState stays bit-identical
-// to the serial compiled backend for every shard count.
+// shared loop carries over unchanged and packState stays bit-identical to
+// the one-shard compiled cycle for every shard count.
 #pragma once
 
 #include <cstdint>
@@ -77,13 +77,15 @@ class Vm {
  public:
   explicit Vm(SimContext& ctx) : ctx_(ctx) {}
 
-  /// Compiled settle: event-driven worklist over specialized ops (sharded
-  /// level-synchronous rounds when the context is sharded).
+  /// Compiled settle: the context's event-driven settle loop over
+  /// specialized ops (level-synchronous rounds when the context is sharded).
   void settle();
-  /// Compiled clock edge: dirty-tracked hot-group scan over specialized ops.
+  /// Compiled clock edge: the context's dirty-tracked edge loop over
+  /// specialized ops.
   void edge();
 
-  /// Compiles/binds without running a phase (audit paths).
+  /// Refreshes the context's topology cache, then compiles (if the program
+  /// is stale) and binds the raw pointers; settle() and edge() start with it.
   void prepare();
   /// True when `id` lowered to a specialized op (generic fallbacks run the
   /// same virtual code as the interpreted kernel, so audits skip them).

@@ -40,7 +40,6 @@ void SimContext::ensureTopologyCache() {
   seedNodes_.clear();
   cycleSeedNodes_.clear();
   choiceNodes_.clear();
-  alwaysEdgeNodes_.clear();
   nodeUnaudited_.assign(netlist_.nodeCapacity(), 0);
   nodeStateDriven_.assign(netlist_.nodeCapacity(), 0);
   nodeEdgeOnEvents_.assign(netlist_.nodeCapacity(), 0);
@@ -63,8 +62,6 @@ void SimContext::ensureTopologyCache() {
     if (node.choiceCount() > 0) choiceNodes_.push_back(id);
     if (node.edgeActivity() == Node::EdgeActivity::kOnEvents)
       nodeEdgeOnEvents_[id] = 1;
-    else
-      alwaysEdgeNodes_.push_back(id);
   }
   liveChannels_ = netlist_.channelIds();
 
@@ -139,6 +136,9 @@ void SimContext::ensureTopologyCache() {
 
 void SimContext::setShards(unsigned n) {
   if (n == 0) n = 1;
+  ESL_CHECK(n <= kMaxShards, "shard count " + std::to_string(n) +
+                                 " exceeds the maximum of " +
+                                 std::to_string(kMaxShards));
   if (n == shards_) return;
   // The re-layout below permutes board slots and state records and bumps the
   // layout generation, so a compiled program (keyed on it) recompiles at the
@@ -274,21 +274,18 @@ void SimContext::resolveAllChoices() {
 }
 
 void SimContext::settle() {
-  if (crossCheck_) {
+  ensureTopologyCache();
+  if (crossCheck_)
     settleCrossChecked();
-  } else if (kernel_ == SettleKernel::kSweep) {
+  else if (kernel_ == SettleKernel::kSweep)
     settleSweep();
-  } else if (backend_ == Backend::kCompiled) {
+  else if (backend_ == Backend::kCompiled)
     vm().settle();
-  } else if (shards_ > 1) {
-    settleSharded();
-  } else {
-    settleEventDriven();
-  }
+  else
+    settleWith([this](NodeId id) { nodePtr_[id]->evalComb(*this); });
 }
 
 void SimContext::settleSweep() {
-  ensureTopologyCache();
   changeTrackValid_ = false;  // sweep writes bypass the consume loop
   edgeTrackValid_ = false;    // ... and the settled-board guarantee
   const std::vector<NodeId>& ids = liveNodes_;
@@ -305,10 +302,6 @@ void SimContext::settleSweep() {
       " sweeps (combinational cycle in data or control)");
 }
 
-void SimContext::settleEventDriven() {
-  settleEventDrivenWith([this](NodeId id) { nodePtr_[id]->evalComb(*this); });
-}
-
 void SimContext::seedShards(std::uint64_t gen) {
   const auto pushOwned = [&](NodeId id) {
     pushInto(shardState_[plan_.nodeShard[id]], gen, id);
@@ -319,24 +312,18 @@ void SimContext::seedShards(std::uint64_t gen) {
     for (const NodeId id : seedNodes_) pushOwned(id);
   } else {
     for (const NodeId id : cycleSeedNodes_) pushOwned(id);
-    for (const NodeId id : prevClocked_) pushOwned(id);
+    for (Shard& sh : shardState_)
+      for (const NodeId id : sh.clocked) pushInto(sh, gen, id);
   }
   needFullSeed_ = false;
 }
 
-void SimContext::settleSharded() {
-  settleShardedWith([this](NodeId id) { nodePtr_[id]->evalComb(*this); });
-}
-
 void SimContext::settleCrossChecked() {
-  ensureTopologyCache();  // refresh layout (and the scratch boards) FIRST
   ccPre_.copyValuesFrom(board_);
   if (backend_ == Backend::kCompiled)
     vm().settle();
-  else if (shards_ > 1)
-    settleSharded();
   else
-    settleEventDriven();
+    settleWith([this](NodeId id) { nodePtr_[id]->evalComb(*this); });
   ccEvent_.copyValuesFrom(board_);
   board_.copyValuesFrom(ccPre_);
   settleSweep();
@@ -430,8 +417,9 @@ void SimContext::reportFindings() {
 
 void SimContext::rebuildPersistMask() {
   persistMask_.assign(board_.groupCount(), 0);
+  const std::vector<bool> persistent = netlist_.persistentChannels();
   for (const ChannelId ch : liveChannels_) {
-    if (!netlist_.channelIsPersistent(ch)) continue;
+    if (!persistent[ch]) continue;
     const std::uint32_t slot = board_.slotOf(ch);
     persistMask_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
   }
@@ -506,24 +494,14 @@ void SimContext::edge() {
     edgeFull();
   else if (backend_ == Backend::kCompiled)
     vm().edge();
-  else if (shards_ > 1)
-    edgeSharded();
   else
-    edgeSparse();
+    edgeWith([this](NodeId id) { nodePtr_[id]->clockEdge(*this); });
   edgeEpilogue();
 }
 
 void SimContext::edgeFull() {
   for (const NodeId id : liveNodes_) netlist_.node(id).clockEdge(*this);
   sparseSeedValid_ = false;  // anything may have changed state
-}
-
-void SimContext::edgeSparse() {
-  edgeSparseWith([this](NodeId id) { nodePtr_[id]->clockEdge(*this); });
-}
-
-void SimContext::edgeSharded() {
-  edgeShardedWith([this](NodeId id) { nodePtr_[id]->clockEdge(*this); });
 }
 
 void SimContext::edgeAudited() {
@@ -542,12 +520,12 @@ void SimContext::edgeAudited() {
   // statistics suppressed, and require byte-identical packState().
   const bool auditCompiled = backend_ == Backend::kCompiled;
   if (auditCompiled) vm().prepare();
-  prevClocked_.clear();
+  for (Shard& sh : shardState_) sh.clocked.clear();
   for (const NodeId id : liveNodes_) {
     Node& node = netlist_.node(id);
     const bool wouldSkip = nodeEdgeOnEvents_[id] && !nodeHasEvent[id];
     if (!wouldSkip) {
-      if (nodeStateful_[id]) prevClocked_.push_back(id);
+      if (nodeStateful_[id]) shardState_[plan_.nodeShard[id]].clocked.push_back(id);
       if (auditCompiled && vm().hasSpecializedOpFor(id)) {
         StateWriter w0;
         packNode(node, w0);

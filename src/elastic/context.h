@@ -29,28 +29,37 @@
 // EdgeActivity declarations — a node the dirty-tracker would have skipped must
 // leave its packState() bytes unchanged.
 //
-// --- Sharded cycles ---------------------------------------------------------
+// --- Shards: one event-kernel loop --------------------------------------------
 //
-// setShards(N > 1) partitions ONE netlist into N contiguous node blocks and
-// runs each cycle shard-parallel on a work-stealing Executor:
+// The event-driven settle and the dirty-tracked edge are one loop each
+// (settleWith/edgeWith below), written over shards. setShards(N) partitions
+// ONE netlist into N contiguous node blocks; the default N = 1 is the serial
+// cycle, in which one shard owns every node, so there is no boundary
+// region, no staging, no barrier round and no ownership filter, and the
+// shard body runs directly on the calling thread. With N > 1 each cycle
+// runs shard-parallel on a work-stealing Executor:
 //   * settle: level-synchronous rounds. Within a round every shard drains its
-//     own worklist exactly like the serial event kernel (interior channels —
-//     both endpoints owned — live in shard-exclusive bitplane ranges), while
-//     writes to boundary channels are staged in the SignalBoard's back copy.
-//     Between rounds a serial barrier step publishes changed boundary values
-//     and seeds their cross-shard readers; the settle ends when a round stages
-//     no boundary change and every worklist is empty. The result is the same
-//     unique fixed point the serial kernels reach, so settled signals — and
-//     therefore packState() — are bit-identical for every shard count.
+//     own worklist (interior channels — both endpoints owned — live in
+//     shard-exclusive bitplane ranges), while writes to boundary channels are
+//     staged in the SignalBoard's back copy. Between rounds a serial barrier
+//     step publishes changed boundary values and seeds their cross-shard
+//     readers; the settle ends when a round stages no boundary change and
+//     every worklist is empty. The result is the same unique fixed point one
+//     shard reaches, so settled signals — and therefore packState() — are
+//     bit-identical for every shard count.
 //   * edge: each shard sweeps its interior plane range (plus the boundary
 //     region, filtered by ownership) for event bits and clocks only its own
 //     nodes. clockEdge writes only its own node's state (its arena record,
 //     cache-line-separated between shards, or node-object statistics), so no
 //     synchronization is needed beyond the join barrier.
-// Per-cycle choice bits are pre-resolved serially before the parallel phases
-// (the provider must be a pure function of (node, index) per cycle — see
-// sim::Simulator, whose provider hashes (seed, cycle, node, index)), keeping
-// resolution order-independent and the cache read-only under workers.
+// A settle that throws (CombinationalCycleError, a node's own error) leaves
+// the context usable at every shard count: staging is switched off and the
+// next settle re-seeds every node.
+// With N > 1, per-cycle choice bits are pre-resolved serially before the
+// parallel phases (one shard resolves them lazily). The provider must be a
+// pure function of (node, index) per cycle — see sim::Simulator, whose
+// provider hashes (seed, cycle, node, index) — which keeps resolution
+// order-independent and the cache read-only under workers.
 //
 // The context also resolves per-cycle nondeterministic choice bits for
 // environment nodes (random under simulation, enumerated under verification)
@@ -137,9 +146,11 @@ class SimContext {
   void setCrossCheck(bool enabled) { crossCheck_ = enabled; }
   bool crossCheck() const { return crossCheck_; }
 
-  /// Shard the netlist across `n` worker lanes (1 = serial, the default).
-  /// Settled signals and packState() are bit-identical for every value.
+  /// Shard the netlist across `n` worker lanes (1 = serial, the default; 0
+  /// reads as 1). Settled signals and packState() are bit-identical for every
+  /// value. Throws EslError above kMaxShards.
   void setShards(unsigned n);
+  static constexpr unsigned kMaxShards = 64;
   unsigned shards() const { return shards_; }
 
   /// Selects the execution backend for the event-driven kernel. The compiled
@@ -266,6 +277,7 @@ class SimContext {
     std::size_t cursorW = 0;         ///< lowest bitmap word that may be pending
     std::vector<NodeId> edgeList;    ///< per-edge scratch: nodes to clock
     std::vector<NodeId> clocked;     ///< stateful nodes clocked at last edge
+                                     ///< (the next settle's seeds)
     /// Interior plane groups that may carry a token/anti-token ("hot"):
     /// maintained incrementally by the settle's change mirror, compacted
     /// lazily at the edge scan — the edge phase stays O(active), never
@@ -293,8 +305,6 @@ class SimContext {
     }
   }
   void settleSweep();
-  void settleEventDriven();
-  void settleSharded();
   void settleCrossChecked();
   void pushInto(Shard& sh, std::uint64_t gen, NodeId id) {
     const std::size_t w = id >> 6;
@@ -312,15 +322,17 @@ class SimContext {
   void seedShards(std::uint64_t gen);
 
   // --- backend-generic kernel loops ------------------------------------------
-  // The serial event-driven settle and the dirty-tracked edge are templates
-  // over the per-node dispatch: the interpreted kernel passes virtual
-  // evalComb/clockEdge calls, the compiled VM (compile/vm.h, a friend) passes
-  // its specialized-op dispatch. Sharing the loops makes seeding, worklist
-  // order, change consumption and hot-group maintenance — and therefore the
-  // settled fixpoint and the set of clocked nodes — identical by construction
-  // across backends.
+  // One event-driven settle (settleWith) and one dirty-tracked edge
+  // (edgeWith) serve every shard count — the serial cycle is the one-shard
+  // case — and both are templates over the per-node dispatch: the
+  // interpreted kernel passes virtual evalComb/clockEdge calls, the compiled
+  // VM (compile/vm.h, a friend) passes its specialized-op dispatch. Sharing
+  // the loops makes seeding, worklist order, change consumption and
+  // hot-group maintenance — and therefore the settled fixpoint and the set
+  // of clocked nodes — identical by construction across backends and shard
+  // counts.
 
-  /// One shard's worklist drain (the body of drainShard). `eval(id)` must
+  /// One shard's worklist drain (the body of settleWith). `eval(id)` must
   /// evaluate node `id`'s combinational function against the board.
   template <typename Eval>
   void drainShardWith(unsigned s, std::uint64_t gen, std::uint32_t maxEvals,
@@ -365,11 +377,15 @@ class SimContext {
     }
   }
 
-  /// The serial event-driven settle (the body of settleEventDriven).
+  /// The event-driven settle: seed the shards' worklists, then drain them to
+  /// the fixed point with `eval` — directly for one shard, as staged
+  /// level-synchronous rounds for more (see the file header). Seeding tiers:
+  /// after reset/rewiring every node; after a full (untracked) edge or an
+  /// unpackState every stateful node; in dirty-tracked steady state only the
+  /// per-cycle readers plus the nodes clocked at the preceding edge. The
+  /// caller refreshes the topology cache.
   template <typename Eval>
-  void settleEventDrivenWith(const Eval& eval) {
-    ensureTopologyCache();
-
+  void settleWith(const Eval& eval) {
     // The board's changed bits mirror every un-consumed write, so change
     // tracking stays valid across cycles: this refresh runs once after
     // reset/rewiring/sweep interludes, not every settle.
@@ -378,81 +394,8 @@ class SimContext {
       changeTrackValid_ = true;
       rebuildHotGroups();
     }
-
-    // The serial kernel IS the sharded drain restricted to one all-owning
-    // shard (no boundary region exists, so no staging or barrier rounds):
-    // seed, then drain to the fixed point. Seeding tiers: after
-    // reset/rewiring every node; after a full (untracked) edge or an
-    // unpackState every stateful node; in dirty-tracked steady state only the
-    // per-cycle readers plus the nodes clocked at the preceding edge.
-    const std::uint64_t gen = ++settleGen_;
-    Shard& sh = shardState_.front();
-    sh.pending = 0;
-    sh.cursorW = (static_cast<std::size_t>(sh.hiId) >> 6) + 1;
-    seedShards(gen);
-    drainShardWith(0, gen, evalBudget(), eval);
-    edgeTrackValid_ = true;
-  }
-
-  /// The serial dirty-tracked clock edge (the body of edgeSparse). `clock(id)`
-  /// must run node `id`'s sequential update from the settled board.
-  template <typename Clock>
-  void edgeSparseWith(const Clock& clock) {
-    // Clock only (a) nodes whose hint demands every cycle and (b) nodes
-    // adjacent to a channel with an actual transfer/kill event. The scan walks
-    // the incrementally maintained hot-group list — 64 channels per entry,
-    // event masks word-parallel — and compacts groups that went quiet in
-    // passing, so a once-hot group costs one check, not a permanent entry.
-    const std::uint64_t gen = ++edgeGen_;
-    const auto mark = [&](NodeId id) {
-      if (id == kNoNode) return;  // padding slots carry no endpoints
-      const std::size_t w = id >> 6;
-      if (edgeWordGen_[w] != gen) {
-        edgeWordGen_[w] = gen;
-        edgeBits_[w] = 0;
-      }
-      const std::uint64_t m = std::uint64_t{1} << (id & 63);
-      if (!(edgeBits_[w] & m)) {
-        edgeBits_[w] |= m;
-        edgeDirty_.push_back(id);
-      }
-    };
-    for (const NodeId id : alwaysEdgeNodes_) mark(id);
-    std::vector<std::uint32_t>& hot = shardState_.front().hotGroups;
-    std::size_t keep = 0;
-    for (const std::uint32_t g : hot) {
-      if (board_.activityAtGroup(g) == 0) {
-        groupHot_[g] = 0;
-        continue;
-      }
-      hot[keep++] = g;
-      scanEventGroups(g, g + 1, mark);
-    }
-    hot.resize(keep);
-    for (const NodeId id : edgeDirty_) clock(id);
-    // Record the clocked stateful nodes: they are the only ones whose state
-    // can differ at the next settle, so they (plus the per-cycle readers)
-    // become the next seed set.
-    prevClocked_.clear();
-    for (const NodeId id : edgeDirty_)
-      if (nodeStateful_[id]) prevClocked_.push_back(id);
-    sparseSeedValid_ = true;
-    edgeDirty_.clear();
-  }
-
-  /// The sharded level-synchronous settle (the body of settleSharded): every
-  /// shard drains its worklist with `eval` under boundary staging; a serial
-  /// barrier step between rounds publishes staged boundary changes and seeds
-  /// their cross-shard readers.
-  template <typename Eval>
-  void settleShardedWith(const Eval& eval) {
-    ensureTopologyCache();
-    if (!changeTrackValid_) {
-      board_.clearChanged();
-      changeTrackValid_ = true;
-      rebuildHotGroups();
-    }
-    resolveAllChoices();
+    const bool sharded = shards_ > 1;
+    if (sharded) resolveAllChoices();
 
     const std::uint64_t gen = ++settleGen_;
     const std::uint32_t maxEvals = evalBudget();
@@ -462,93 +405,114 @@ class SimContext {
     }
     seedShards(gen);
 
-    board_.setStagingActive(true);
     try {
-      bool any = false;
-      for (const Shard& sh : shardState_) any = any || sh.pending > 0;
-      while (any) {
-        // One level-synchronous round: every shard drains its worklist fully.
-        parallelShards(
-            [&](unsigned s) { drainShardWith(s, gen, maxEvals, eval); });
-        // Barrier step (single-threaded): publish staged boundary changes and
-        // seed their readers. Both endpoints are seeded — the consumer-side
-        // reader of producer-driven fields, the producer-side reader of
-        // consumer-driven fields, and the unaudited writer's confirming
-        // re-eval all collapse into this conservative push. A re-evaluation
-        // on unchanged inputs is a no-op, so the fixed point is unaffected.
-        any = false;
-        board_.syncBoundary([&](ChannelId ch) {
-          const Channel& c = netlist_.channel(ch);
-          if (!nodeStateDriven_[c.producer])
-            pushInto(shardState_[plan_.nodeShard[c.producer]], gen, c.producer);
-          if (!nodeStateDriven_[c.consumer])
-            pushInto(shardState_[plan_.nodeShard[c.consumer]], gen, c.consumer);
-        });
+      if (!sharded) {
+        drainShardWith(0, gen, maxEvals, eval);
+      } else {
+        board_.setStagingActive(true);
+        bool any = false;
         for (const Shard& sh : shardState_) any = any || sh.pending > 0;
+        while (any) {
+          // One level-synchronous round: every shard drains its worklist.
+          parallelShards(
+              [&](unsigned s) { drainShardWith(s, gen, maxEvals, eval); });
+          // Barrier step (single-threaded): publish staged boundary changes
+          // and seed their readers. Both endpoints are seeded — the
+          // consumer-side reader of producer-driven fields, the producer-side
+          // reader of consumer-driven fields, and the unaudited writer's
+          // confirming re-eval all collapse into this conservative push. A
+          // re-evaluation on unchanged inputs is a no-op, so the fixed point
+          // is unaffected.
+          any = false;
+          board_.syncBoundary([&](ChannelId ch) {
+            const Channel& c = netlist_.channel(ch);
+            if (!nodeStateDriven_[c.producer])
+              pushInto(shardState_[plan_.nodeShard[c.producer]], gen, c.producer);
+            if (!nodeStateDriven_[c.consumer])
+              pushInto(shardState_[plan_.nodeShard[c.consumer]], gen, c.consumer);
+          });
+          for (const Shard& sh : shardState_) any = any || sh.pending > 0;
+        }
+        board_.setStagingActive(false);
       }
     } catch (...) {
-      // A worker threw (CombinationalCycleError, a node's own error): leave
-      // the board usable — staged-but-unpublished boundary writes must not
-      // swallow the next kernel's (or an external writer's) stores.
+      // A node threw (CombinationalCycleError, its own error) mid-drain:
+      // leave the board usable. Staged-but-unpublished boundary writes must
+      // not swallow the next kernel's (or an external writer's) stores, and
+      // the partly consumed change bits no longer cover every stale reader,
+      // so the next settle re-seeds every node.
       board_.setStagingActive(false);
       invalidateSignals();
       throw;
     }
-    board_.setStagingActive(false);
     edgeTrackValid_ = true;
   }
 
-  /// The sharded dirty-tracked clock edge (the body of edgeSharded): each
-  /// shard scans its interior plane range unfiltered (interior endpoints are
-  /// owned by construction) plus the shared boundary region filtered by
-  /// ownership, then runs `clock` on only its own nodes. clock(id) must write
-  /// only node id's own state (its arena record, its object), so the only
-  /// shared writes are the ownership-filtered (word-exclusive) edge-mark
-  /// bitmap.
+  /// The dirty-tracked clock edge: each shard clocks only its own nodes that
+  /// (a) have a hint demanding every cycle or (b) are adjacent to a channel
+  /// with an actual transfer/kill event — directly for one shard,
+  /// shard-parallel for more.
   template <typename Clock>
-  void edgeShardedWith(const Clock& clock) {
+  void edgeWith(const Clock& clock) {
     const std::uint64_t gen = ++edgeGen_;
-    const auto [blo, bhi] = board_.boundaryGroupRange();
-    parallelShards([&](unsigned s) {
-      Shard& sh = shardState_[s];
-      sh.edgeList.clear();
-      const auto mark = [&](NodeId id) {
-        if (id == kNoNode || plan_.nodeShard[id] != s) return;
-        const std::size_t w = id >> 6;  // bitmap words are owner-exclusive
-        if (edgeWordGen_[w] != gen) {
-          edgeWordGen_[w] = gen;
-          edgeBits_[w] = 0;
-        }
-        const std::uint64_t m = std::uint64_t{1} << (id & 63);
-        if (!(edgeBits_[w] & m)) {
-          edgeBits_[w] |= m;
-          sh.edgeList.push_back(id);
-        }
-      };
-      for (const NodeId id : sh.alwaysEdge) mark(id);
-      std::size_t keep = 0;
-      for (const std::uint32_t g : sh.hotGroups) {
-        if (board_.activityAtGroup(g) == 0) {
-          groupHot_[g] = 0;
-          continue;
-        }
-        sh.hotGroups[keep++] = g;
-        scanEventGroups(g, g + 1, mark);
+    if (shards_ == 1)
+      edgeShardWith<false>(0, gen, clock);
+    else
+      parallelShards([&](unsigned s) { edgeShardWith<true>(s, gen, clock); });
+    sparseSeedValid_ = true;
+  }
+
+  /// One shard's edge (the body of edgeWith). The scan walks the shard's
+  /// incrementally maintained hot-group list — 64 channels per entry, event
+  /// masks word-parallel — and compacts groups that went quiet in passing,
+  /// so a once-hot group costs one check, not a permanent entry. `kSharded`
+  /// adds what a partition needs: marks filtered by ownership (the shared
+  /// edge-mark bitmap is then written word-exclusively) and a scan of the
+  /// shared boundary region. clock(id) must write only node id's own state
+  /// (its arena record, its object). The clocked stateful nodes are the only
+  /// ones whose state can differ at the next settle: they become the
+  /// shard's seeds.
+  template <bool kSharded, typename Clock>
+  void edgeShardWith(unsigned s, std::uint64_t gen, const Clock& clock) {
+    Shard& sh = shardState_[s];
+    sh.edgeList.clear();
+    const auto mark = [&](NodeId id) {
+      if (id == kNoNode) return;  // padding slots carry no endpoints
+      if constexpr (kSharded) {
+        if (plan_.nodeShard[id] != s) return;
       }
-      sh.hotGroups.resize(keep);
+      const std::size_t w = id >> 6;  // bitmap words are owner-exclusive
+      if (edgeWordGen_[w] != gen) {
+        edgeWordGen_[w] = gen;
+        edgeBits_[w] = 0;
+      }
+      const std::uint64_t m = std::uint64_t{1} << (id & 63);
+      if (!(edgeBits_[w] & m)) {
+        edgeBits_[w] |= m;
+        sh.edgeList.push_back(id);
+      }
+    };
+    for (const NodeId id : sh.alwaysEdge) mark(id);
+    std::size_t keep = 0;
+    for (const std::uint32_t g : sh.hotGroups) {
+      if (board_.activityAtGroup(g) == 0) {
+        groupHot_[g] = 0;
+        continue;
+      }
+      sh.hotGroups[keep++] = g;
+      scanEventGroups(g, g + 1, mark);
+    }
+    sh.hotGroups.resize(keep);
+    if constexpr (kSharded) {
       // The boundary region is shared and small: scan it unconditionally,
       // ownership-filtered by mark().
+      const auto [blo, bhi] = board_.boundaryGroupRange();
       scanEventGroups(blo, bhi, mark);
-      for (const NodeId id : sh.edgeList) clock(id);
-      sh.clocked.clear();
-      for (const NodeId id : sh.edgeList)
-        if (nodeStateful_[id]) sh.clocked.push_back(id);
-    });
-    prevClocked_.clear();
-    for (const Shard& sh : shardState_)
-      prevClocked_.insert(prevClocked_.end(), sh.clocked.begin(),
-                          sh.clocked.end());
-    sparseSeedValid_ = true;
+    }
+    for (const NodeId id : sh.edgeList) clock(id);
+    sh.clocked.clear();
+    for (const NodeId id : sh.edgeList)
+      if (nodeStateful_[id]) sh.clocked.push_back(id);
   }
 
   /// Runs fn(shard) on the executor, one worker lane per shard (type-erased
@@ -563,8 +527,6 @@ class SimContext {
   /// packStateInto; the former prepends the versioned snapshot header).
   void packNodeState(StateWriter& w) const;
 
-  void edgeSparse();
-  void edgeSharded();
   void edgeFull();
   void edgeAudited();
   void edgeEpilogue();
@@ -634,14 +596,13 @@ class SimContext {
   std::uint64_t edgeGen_ = 0;                 ///< dedup stamp for edge marks
   std::vector<std::uint64_t> edgeBits_;       ///< bitmap: already queued
   std::vector<std::uint64_t> edgeWordGen_;    ///< == edgeGen_ → word valid
-  std::vector<NodeId> edgeDirty_;             ///< per-edge scratch (serial path)
   std::vector<std::uint8_t> groupHot_;        ///< membership flag per plane group
 
   // Sparse settle seeding: after a dirty-tracked edge, only the nodes that
-  // were actually clocked can have changed state, so the next settle seeds
-  // those plus the per-cycle readers instead of every stateful node.
+  // were actually clocked (each shard's `clocked` list) can have changed
+  // state, so the next settle seeds those plus the per-cycle readers instead
+  // of every stateful node.
   bool sparseSeedValid_ = false;
-  std::vector<NodeId> prevClocked_;  ///< stateful nodes clocked at last edge
 
   // Sharding: node partition + per-shard scratch + lazily built executor.
   unsigned shards_ = 1;
@@ -677,7 +638,6 @@ class SimContext {
   std::vector<NodeId> seedNodes_;            ///< live nodes not kCombPure
   std::vector<NodeId> cycleSeedNodes_;       ///< per-cycle readers + unaudited
   std::vector<NodeId> choiceNodes_;          ///< live nodes with choiceCount>0
-  std::vector<NodeId> alwaysEdgeNodes_;      ///< live nodes with kEveryCycle
   std::vector<std::uint8_t> nodeUnaudited_;  ///< kUnaudited flag per node
   std::vector<std::uint8_t> nodeStateDriven_;  ///< kStateDriven flag per node
   std::vector<std::uint8_t> nodeEdgeOnEvents_;  ///< kOnEvents flag per node
@@ -711,7 +671,7 @@ class SimContext {
   /// The payload of each Retry+ slot, in slot order.
   std::vector<BitVec> retryData_;
   /// Per plane group: the live channels whose Retry+ is checked (persistent
-  /// producers, Netlist::channelIsPersistent), for layout persistGeneration_.
+  /// producers, Netlist::persistentChannels), for layout persistGeneration_.
   std::vector<std::uint64_t> persistMask_;
   std::uint64_t persistGeneration_ = 0;
   struct Finding {

@@ -276,30 +276,36 @@ void Netlist::rebuildAdjacency() const {
   adjacencyVersion_ = topoVersion_;
 }
 
-bool Netlist::channelIsPersistent(ChannelId ch) const {
-  // Depth-limited walk through combinational producers; combinational cycles
-  // cannot occur in valid designs, but guard with a visited set anyway.
-  std::vector<ChannelId> stack{ch};
-  std::vector<bool> seen(channels_.size(), false);
-  while (!stack.empty()) {
-    const ChannelId cur = stack.back();
-    stack.pop_back();
-    if (seen[cur]) continue;
-    seen[cur] = true;
-    const Channel& c = channel(cur);
-    const Node& producer = node(c.producer);
-    switch (producer.outputPersistence(c.producerPort)) {
-      case Node::Persistence::kNonPersistent:
-        return false;
-      case Node::Persistence::kPersistent:
-        break;
-      case Node::Persistence::kDerived:
-        for (unsigned i = 0; i < producer.numInputs(); ++i)
-          if (producer.inputBound(i)) stack.push_back(producer.input(i));
-        break;
+std::vector<bool> Netlist::persistentChannels() const {
+  // Non-persistence flows forward: from every channel driven by a
+  // kNonPersistent port through the kDerived outputs of its consumer, and on.
+  // Each channel is marked (and queued) at most once, so combinational
+  // cycles need no guard; the marked set is exactly the channels whose
+  // backward walk through kDerived producers reaches a kNonPersistent port.
+  std::vector<bool> persistent(channels_.size(), false);
+  std::vector<ChannelId> work;
+  for (std::size_t i = 0; i < channels_.size(); ++i) {
+    if (!channelLive_[i]) continue;
+    const Channel& c = channels_[i];
+    const bool source = node(c.producer).outputPersistence(c.producerPort) ==
+                        Node::Persistence::kNonPersistent;
+    persistent[i] = !source;
+    if (source) work.push_back(c.id);
+  }
+  while (!work.empty()) {
+    const Node& reader = node(channel(work.back()).consumer);
+    work.pop_back();
+    for (unsigned o = 0; o < reader.numOutputs(); ++o) {
+      if (!reader.outputBound(o) ||
+          reader.outputPersistence(o) != Node::Persistence::kDerived)
+        continue;
+      const ChannelId out = reader.output(o);
+      if (!persistent[out]) continue;
+      persistent[out] = false;
+      work.push_back(out);
     }
   }
-  return true;
+  return persistent;
 }
 
 logic::Cost Netlist::totalCost() const {

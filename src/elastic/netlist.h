@@ -114,10 +114,11 @@ class Netlist {
   /// Sums node costs (area report input).
   logic::Cost totalCost() const;
 
-  /// Resolves Node::Persistence::kDerived transitively: a channel obeys
+  /// Resolves Node::Persistence::kDerived transitively for every channel at
+  /// once, indexed by ChannelId (false for removed ids): a channel obeys
   /// Retry+ persistence unless its producer (or any combinational ancestor)
-  /// is a non-persistent block (paper §4.2).
-  bool channelIsPersistent(ChannelId ch) const;
+  /// is a non-persistent block (paper §4.2). One linear pass.
+  std::vector<bool> persistentChannels() const;
 
  private:
   std::string freshChannelName(const Node& producer, unsigned port) const;

@@ -6,12 +6,15 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "base/error.h"
+#include "base/parse_num.h"
+#include "elastic/context.h"
 #include "serve/client.h"
 #include "serve/server.h"
 #include "sim/state_file.h"
@@ -58,18 +61,6 @@ int clientUsage() {
   return 1;
 }
 
-std::uint64_t parseNum(const std::string& what, const std::string& value) {
-  try {
-    if (!value.empty() && value[0] >= '0' && value[0] <= '9') {
-      std::size_t used = 0;
-      const std::uint64_t v = std::stoull(value, &used);
-      if (used == value.size()) return v;
-    }
-  } catch (const std::exception&) {
-  }
-  throw EslError(what + " expects a number, got '" + value + "'");
-}
-
 std::vector<std::string> tokenize(const std::string& line) {
   std::istringstream is(line);
   std::vector<std::string> tokens;
@@ -92,7 +83,8 @@ SimSession::Options parseOptionWords(const std::vector<std::string>& t,
     } else if (t[i] == "cross-check") {
       opts.crossCheck = true;
     } else if (t[i] == "shards" && i + 1 < t.size()) {
-      opts.shards = static_cast<unsigned>(parseNum("shards", t[++i]));
+      opts.shards = static_cast<unsigned>(
+          parseNum("shards", t[++i], SimContext::kMaxShards));
     } else if (t[i] == "seed" && i + 1 < t.size()) {
       opts.seed = parseNum("seed", t[++i]);
     } else {
@@ -200,7 +192,8 @@ int serveMain(int argc, char** argv) {
       if (arg == "--socket")
         config.socketPath = value();
       else if (arg == "--workers")
-        config.service.workers = static_cast<unsigned>(parseNum(arg, value()));
+        config.service.workers = static_cast<unsigned>(
+            parseNum(arg, value(), std::numeric_limits<unsigned>::max()));
       else if (arg == "--max-resident")
         config.service.maxResident =
             static_cast<std::size_t>(parseNum(arg, value()));
@@ -291,7 +284,8 @@ int clientMain(int argc, char** argv) {
       } else if (arg == "--timeout") {
         options.timeoutMs = parseNum(arg, value());
       } else if (arg == "--retries") {
-        options.retries = static_cast<unsigned>(parseNum(arg, value()));
+        options.retries = static_cast<unsigned>(
+            parseNum(arg, value(), std::numeric_limits<unsigned>::max()));
       } else if (arg == "--backoff") {
         options.backoffMs = parseNum(arg, value());
       } else if (arg == "--help" || arg == "-h") {

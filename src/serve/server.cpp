@@ -37,8 +37,13 @@ SimSession::Options sessionOptions(const json::Value& head) {
     else
       ESL_CHECK(b == "interpreted", "unknown backend '" + b + "'");
   }
-  if (const json::Value* v = head.find("shards"))
-    opts.shards = static_cast<unsigned>(v->asU64());
+  if (const json::Value* v = head.find("shards")) {
+    const std::uint64_t shards = v->asU64();
+    ESL_CHECK(shards <= SimContext::kMaxShards,
+              "shards " + std::to_string(shards) + " exceeds the maximum of " +
+                  std::to_string(SimContext::kMaxShards));
+    opts.shards = static_cast<unsigned>(shards);
+  }
   if (const json::Value* v = head.find("seed")) opts.seed = v->asU64();
   if (const json::Value* v = head.find("check")) opts.checkProtocol = v->asBool();
   if (const json::Value* v = head.find("cross-check"))

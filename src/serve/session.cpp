@@ -182,7 +182,10 @@ std::unique_ptr<SimSession> SimSession::spoolLoad(
   ESL_CHECK(version == kSpoolVersion,
             "unsupported spool version " + std::to_string(version));
   Options opts;
-  opts.backend = static_cast<SimContext::Backend>(r.readU32());
+  const std::uint32_t backend = r.readU32();
+  ESL_CHECK(backend <= static_cast<std::uint32_t>(SimContext::Backend::kCompiled),
+            "spool record names unknown backend " + std::to_string(backend));
+  opts.backend = static_cast<SimContext::Backend>(backend);
   opts.shards = r.readU32();
   opts.seed = r.readU64();
   opts.checkProtocol = r.readBool();

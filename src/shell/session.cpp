@@ -7,6 +7,7 @@
 #include "backend/blif.h"
 #include "backend/smv.h"
 #include "backend/verilog.h"
+#include "base/parse_num.h"
 #include "frontend/esl_format.h"
 #include "netlist/dot.h"
 #include "netlist/patterns.h"
@@ -276,17 +277,20 @@ std::string Session::dispatch(const std::string& line, bool replaying) {
       else if (t[i] == "cross-check")
         opts.crossCheckKernels = true;
       else
-        opts.shards = static_cast<unsigned>(std::stoul(t[i]));
+        opts.shards = static_cast<unsigned>(
+            parseNum("sim: shard count", t[i], SimContext::kMaxShards));
     }
+    const std::uint64_t cycles = parseNum("sim: cycles", t[1]);
     sim::Simulator s(nl, opts);
-    s.run(std::stoull(t[1]));
+    s.run(cycles);
     return sim::runReport(nl, s.ctx());
   }
   if (verb == "tput") {
     ESL_CHECK(t.size() == 3, "usage: tput <cycles> <channel>");
+    const std::uint64_t cycles = parseNum("tput: cycles", t[1]);
     sim::Simulator s(nl, {.checkProtocol = false});
     const ChannelId ch = findChannelOrThrow(nl, t[2]);
-    s.run(std::stoull(t[1]));
+    s.run(cycles);
     os << "throughput(" << t[2] << ") = " << std::fixed << std::setprecision(4)
        << s.throughput(ch) << "\n";
     return os.str();
@@ -296,9 +300,10 @@ std::string Session::dispatch(const std::string& line, bool replaying) {
     sim::TraceRecorder trace;
     for (std::size_t i = 2; i < t.size(); ++i)
       trace.addChannel(findChannelOrThrow(nl, t[i]), t[i]);
+    const std::uint64_t cycles = parseNum("trace: cycles", t[1]);
     sim::Simulator s(nl, {.checkProtocol = false});
     s.attachTrace(&trace);
-    s.run(std::stoull(t[1]));
+    s.run(cycles);
     return trace.render();
   }
   if (verb == "timing") {

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
+#include "frontend/esl_format.h"
+#include "netlist/synth.h"
+#include "sched/scheduler.h"
 #include "test_util.h"
 
 namespace esl {
@@ -262,6 +267,113 @@ TEST(SimContext, ProtocolCleanOnHealthyPipelines) {
   sim::Simulator s(nl, {.checkProtocol = true, .throwOnViolation = true});
   s.run(300);
   EXPECT_TRUE(s.ctx().protocolViolations().empty());
+}
+
+/// The per-channel backward walk that Netlist::persistentChannels replaced,
+/// kept as the reference: follow kDerived producers' inputs upstream; any
+/// kNonPersistent port reached makes the channel non-persistent.
+bool persistentByBackwardWalk(const Netlist& nl, ChannelId ch) {
+  std::vector<ChannelId> stack{ch};
+  std::vector<bool> seen(nl.channelCapacity(), false);
+  while (!stack.empty()) {
+    const ChannelId cur = stack.back();
+    stack.pop_back();
+    if (seen[cur]) continue;
+    seen[cur] = true;
+    const Channel& c = nl.channel(cur);
+    const Node& producer = nl.node(c.producer);
+    switch (producer.outputPersistence(c.producerPort)) {
+      case Node::Persistence::kNonPersistent:
+        return false;
+      case Node::Persistence::kPersistent:
+        break;
+      case Node::Persistence::kDerived:
+        for (unsigned i = 0; i < producer.numInputs(); ++i)
+          if (producer.inputBound(i)) stack.push_back(producer.input(i));
+        break;
+    }
+  }
+  return true;
+}
+
+/// Returns the number of non-persistent channels (so callers can require
+/// that a case exercises both answers).
+std::size_t expectPersistenceMatchesWalk(const Netlist& nl) {
+  const std::vector<bool> fast = nl.persistentChannels();
+  std::size_t nonPersistent = 0;
+  for (const ChannelId ch : nl.channelIds()) {
+    EXPECT_EQ(fast.at(ch), persistentByBackwardWalk(nl, ch))
+        << "channel '" << nl.channel(ch).name << "'";
+    if (!fast[ch]) ++nonPersistent;
+  }
+  return nonPersistent;
+}
+
+TEST(Netlist, PersistentChannelsMatchBackwardWalkOnEveryDesign) {
+  const std::filesystem::path dir =
+      std::filesystem::path(ESL_SOURCE_DIR) / "examples" / "designs";
+  std::size_t designs = 0, nonPersistent = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() != ".esl") continue;
+    SCOPED_TRACE(entry.path().filename().string());
+    const Netlist nl = frontend::buildEslFile(entry.path().string());
+    nonPersistent += expectPersistenceMatchesWalk(nl);
+    ++designs;
+  }
+  EXPECT_GT(designs, 0u);
+  EXPECT_GT(nonPersistent, 0u);  // the shared-module designs
+}
+
+TEST(Netlist, PersistentChannelsMatchBackwardWalkOnSynthFamilies) {
+  for (const synth::Topology topo :
+       {synth::Topology::kPipeline, synth::Topology::kForkJoin,
+        synth::Topology::kSpecLadder, synth::Topology::kRandomDag}) {
+    synth::SynthConfig cfg;
+    cfg.topology = topo;
+    cfg.targetNodes = 200;
+    cfg.seed = 11;
+    SCOPED_TRACE(synth::describe(cfg));
+    expectPersistenceMatchesWalk(synth::build(cfg).nl);
+  }
+}
+
+TEST(Netlist, NonPersistenceFlowsThroughFuncChainsToTheNextBuffer) {
+  // shared -> f1 -> f2 -> f3 -> eb -> sink on one branch, a persistent
+  // source -> f4 join on the other: everything between the shared module and
+  // the EB inherits its non-persistence (f4's output too, being a join with
+  // a non-persistent input); the EB's output and the sources are persistent.
+  Netlist nl;
+  auto& a = nl.make<TokenSource>("a", 8, TokenSource::counting(8));
+  auto& b = nl.make<TokenSource>("b", 8, TokenSource::counting(8));
+  auto& c = nl.make<TokenSource>("c", 8, TokenSource::counting(8));
+  auto& shared = nl.make<SharedModule>(
+      "F", 2, 8, 8, [](const BitVec& x) { return x; },
+      std::make_unique<sched::RoundRobinScheduler>(2));
+  const auto id = [](const std::vector<BitVec>& in) { return in[0]; };
+  auto& f1 = nl.make<FuncNode>("f1", std::vector<unsigned>{8}, 8, id);
+  auto& f2 = nl.make<FuncNode>("f2", std::vector<unsigned>{8}, 8, id);
+  auto& f3 = nl.make<FuncNode>("f3", std::vector<unsigned>{8}, 8, id);
+  auto& f4 = nl.make<FuncNode>("f4", std::vector<unsigned>{8, 8}, 8, id);
+  auto& eb = nl.make<ElasticBuffer>("eb", 8);
+  auto& s0 = nl.make<TokenSink>("s0", 8);
+  auto& s1 = nl.make<TokenSink>("s1", 8);
+  nl.connect(a, 0, shared, 0, "a");
+  nl.connect(b, 0, shared, 1, "b");
+  nl.connect(shared, 0, f1, 0, "sh0");
+  nl.connect(f1, 0, f2, 0, "f1");
+  nl.connect(f2, 0, f3, 0, "f2");
+  nl.connect(f3, 0, eb, 0, "f3");
+  nl.connect(eb, 0, s0, 0, "eb");
+  nl.connect(shared, 1, f4, 0, "sh1");
+  nl.connect(c, 0, f4, 1, "c");
+  nl.connect(f4, 0, s1, 0, "f4");
+  nl.validate();
+  EXPECT_EQ(expectPersistenceMatchesWalk(nl), 6u);
+  const std::vector<bool> p = nl.persistentChannels();
+  for (const char* name : {"a", "b", "c", "eb"})
+    EXPECT_TRUE(p[nl.findChannel(name)->id]) << name;
+  for (const char* name : {"sh0", "f1", "f2", "f3", "sh1", "f4"})
+    EXPECT_FALSE(p[nl.findChannel(name)->id]) << name;
 }
 
 }  // namespace

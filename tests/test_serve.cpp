@@ -280,6 +280,21 @@ TEST(ServeSession, SpoolLoadRejectsForeignRecords) {
   EXPECT_THROW(SimSession::spoolLoad({1, 2, 3}), EslError);
 }
 
+TEST(ServeSession, SpoolLoadRejectsOutOfRangeOptions) {
+  // Bytes 8..11 hold the backend word, 12..15 the shard count (little
+  // endian). Neither is trusted: a backend other than interpreted (0) or
+  // compiled (1), or a shard count above the cap, is a clean error.
+  auto a = makeSession("fig1a");
+  const std::vector<std::uint8_t> good = a->spoolSave();
+  std::vector<std::uint8_t> record = good;
+  record[8] = 2;
+  EXPECT_THROW(SimSession::spoolLoad(record), EslError);
+  record = good;
+  record[12] = static_cast<std::uint8_t>(SimContext::kMaxShards + 1);
+  EXPECT_THROW(SimSession::spoolLoad(record), EslError);
+  EXPECT_NO_THROW(SimSession::spoolLoad(good));
+}
+
 TEST(ServeSession, RestoreHasLoadStateSemantics) {
   auto a = makeSession("fig1a");
   a->step(600);
@@ -743,6 +758,39 @@ TEST(ServeWire, OversizedDeclaredPayloadGetsAStructuredError) {
   EXPECT_FALSE(f.head.find("ok")->asBool());
   EXPECT_EQ(f.head.find("error")->find("kind")->asString(), "protocol");
   EXPECT_FALSE(reader.read(f));  // connection dropped after the error
+  ::close(fd);
+}
+
+TEST(ServeWire, OpenRejectsShardCountsOutOfRange) {
+  // 2^32+2 must not wrap to 2, and the cap applies before a session exists.
+  ServerFixture fx("shards");
+  const int fd = rawConnect(fx.server->socketPath());
+  FrameReader reader(fd);
+  Frame f;
+  ASSERT_TRUE(reader.read(f));  // greeting
+  json::Value hello = json::Value::object();
+  hello.set("id", json::Value::number(std::uint64_t{1}));
+  hello.set("op", json::Value::str("hello"));
+  hello.set("proto", json::Value::number(kProtocolVersion));
+  writeFrame(fd, hello);
+  ASSERT_TRUE(reader.read(f));
+  ASSERT_TRUE(f.head.find("ok")->asBool());
+  std::uint64_t id = 2;
+  for (const std::uint64_t shards :
+       {(std::uint64_t{1} << 32) + 2, std::uint64_t{SimContext::kMaxShards} + 1}) {
+    SCOPED_TRACE(shards);
+    json::Value open = json::Value::object();
+    open.set("id", json::Value::number(id++));
+    open.set("op", json::Value::str("open"));
+    open.set("session", json::Value::str("s" + std::to_string(shards)));
+    open.set("design", json::Value::str("fig1a"));
+    open.set("shards", json::Value::number(shards));
+    writeFrame(fd, open);
+    ASSERT_TRUE(reader.read(f));
+    EXPECT_FALSE(f.head.find("ok")->asBool());
+    EXPECT_EQ(f.head.find("error")->find("kind")->asString(), "error");
+  }
+  EXPECT_TRUE(fx.server->service().sessionIds().empty());
   ::close(fd);
 }
 

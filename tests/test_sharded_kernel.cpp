@@ -198,6 +198,94 @@ TEST(ShardedKernel, CombinationalCycleDetectedUnderShards) {
   EXPECT_THROW(ctx.settle(), CombinationalCycleError);
 }
 
+/// Choice-controlled combinational oscillator. Output 0 carries the same
+/// token on every evaluation; output 1 flips on every evaluation under choice
+/// 1 (never converges) and holds under choice 0. A thrown settle therefore
+/// leaves output 0's reader unevaluated, and the retry under choice 0 writes
+/// no change that would re-trigger it.
+class ChoiceOscillator : public Node {
+ public:
+  explicit ChoiceOscillator(std::string name) : Node(std::move(name)) {
+    declareOutput(8);
+    declareOutput(1);
+  }
+  unsigned choiceCount() const override { return 1; }
+  void evalComb(SimContext& ctx) override {
+    Sig token = ctx.sig(output(0));
+    token.setVf(true);
+    token.setData(BitVec(8, 42));
+    token.setSb(false);
+    Sig flap = ctx.sig(output(1));
+    flap.setVf(ctx.choice(*this, 0) ? !flap.vf() : true);
+    flap.setData(BitVec(1, 0));
+    flap.setSb(false);
+  }
+  std::string kindName() const override { return "choice-oscillator"; }
+};
+
+struct OscillatorSystem {
+  Netlist nl;
+  OscillatorSystem() {
+    auto& osc = nl.make<ChoiceOscillator>("osc");
+    auto& inc = nl.make<FuncNode>(
+        "inc", std::vector<unsigned>{8}, 8,
+        [](const std::vector<BitVec>& in) { return in[0] + BitVec(8, 1); });
+    auto& sink = nl.make<TokenSink>("sink", 8);
+    auto& flapSink = nl.make<TokenSink>("flapSink", 1);
+    nl.connect(osc, 0, inc, 0, "token");
+    nl.connect(inc, 0, sink, 0, "inc");
+    nl.connect(osc, 1, flapSink, 0, "flap");
+  }
+};
+
+TEST(ShardedKernel, SettleErrorLeavesTheContextUsable) {
+  // Reference: a fresh context settled under choice 0.
+  OscillatorSystem ref;
+  SimContext refCtx(ref.nl);
+  refCtx.setChoices({false});
+  refCtx.settle();
+
+  for (const auto backend :
+       {SimContext::Backend::kInterpreted, SimContext::Backend::kCompiled}) {
+    for (const unsigned shards : {1u, 2u}) {
+      SCOPED_TRACE(std::string(backend == SimContext::Backend::kCompiled
+                                   ? "compiled"
+                                   : "interpreted") +
+                   " shards=" + std::to_string(shards));
+      OscillatorSystem sys;
+      SimContext ctx(sys.nl);
+      ctx.setBackend(backend);
+      ctx.setShards(shards);
+      ctx.setChoices({true});
+      EXPECT_THROW(ctx.settle(), CombinationalCycleError);
+      // The retry must not trust the change bits the aborted drain consumed:
+      // `inc` was never evaluated, and nothing it reads changes now.
+      ctx.setChoices({false});
+      ctx.settle();
+      for (const ChannelId ch : sys.nl.channelIds()) {
+        const ChannelSignals got = ctx.sig(ch);
+        const ChannelSignals want = refCtx.sig(ch);
+        EXPECT_TRUE(got == want) << "channel '" << sys.nl.channel(ch).name << "'";
+      }
+      ctx.edge();
+      ctx.setCrossCheck(true);
+      for (int cycle = 0; cycle < 4; ++cycle) {
+        ctx.setChoices({false});
+        EXPECT_NO_THROW(ctx.settle());
+        EXPECT_NO_THROW(ctx.edge());
+      }
+    }
+  }
+}
+
+TEST(ShardedKernel, ShardCountAboveTheCapIsRejected) {
+  // Rejected before any lane starts; the context keeps its shard count.
+  OscillatorSystem sys;
+  SimContext ctx(sys.nl);
+  EXPECT_THROW(ctx.setShards(SimContext::kMaxShards + 1), EslError);
+  EXPECT_EQ(ctx.shards(), 1u);
+}
+
 TEST(ShardedKernel, ShardedStatsMatchSerial) {
   // Channel statistics are a post-settle bitplane sweep, so they must be
   // oblivious to the shard count as well.

@@ -184,5 +184,21 @@ TEST(Shell, ManualStepwiseRecipeMatchesSpeculate) {
   EXPECT_NE(s.execute("tput 200 pc.out").find("1.0000"), std::string::npos);
 }
 
+TEST(Shell, MalformedNumbersAreErrorLines) {
+  // A malformed count must come back as an error line: never an escaping
+  // std::invalid_argument, never a sign-wrapped 2^64-5 cycle run, never an
+  // unknown option word read as a shard count.
+  Session s;
+  s.execute("build fig1a");
+  for (const char* line : {"sim abc", "sim -5", "sim 10 bogus", "sim 10 +2",
+                           "tput x pc.out", "tput -1 pc.out", "trace 5x pc.out"}) {
+    SCOPED_TRACE(line);
+    EXPECT_EQ(s.execute(line).rfind("error: ", 0), 0u);
+  }
+  EXPECT_NE(s.execute("sim 10 bogus").find("'bogus'"), std::string::npos);
+  // Well-formed counts still run.
+  EXPECT_EQ(s.execute("tput 20 pc.out").rfind("throughput(pc.out)", 0), 0u);
+}
+
 }  // namespace
 }  // namespace esl::shell

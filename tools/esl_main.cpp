@@ -23,10 +23,12 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "base/parse_num.h"
 #include "frontend/esl_format.h"
 #include "netlist/patterns.h"
 #include "serve/cli.h"
@@ -98,19 +100,16 @@ bool fileExists(const std::string& path) {
   return static_cast<bool>(std::ifstream(path));
 }
 
-/// Strict non-negative numeric option value; usage error (exit 1) on garbage
-/// (std::stoull would otherwise throw — or sign-wrap "-5" to 2^64-5).
-std::uint64_t parseNum(const std::string& flag, const std::string& value) {
+/// Strict numeric option value (esl::parseNum); usage error (exit 1) on
+/// garbage.
+std::uint64_t numArg(const std::string& flag, const std::string& value,
+                     std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
   try {
-    if (!value.empty() && value[0] >= '0' && value[0] <= '9') {
-      std::size_t used = 0;
-      const std::uint64_t v = std::stoull(value, &used);
-      if (used == value.size()) return v;
-    }
-  } catch (const std::exception&) {
+    return esl::parseNum(flag, value, max);
+  } catch (const esl::EslError& e) {
+    std::cerr << "esl: " << e.what() << "\n";
+    std::exit(1);
   }
-  std::cerr << "esl: " << flag << " expects a number, got '" << value << "'\n";
-  std::exit(1);
 }
 
 }  // namespace
@@ -152,9 +151,9 @@ int main(int argc, char** argv) {
       transforms = value();
     } else if (arg == "--sim") {
       doSim = true;
-      simCycles = parseNum(arg, value());
+      simCycles = numArg(arg, value());
     } else if (arg == "--shards") {
-      simShards = parseNum(arg, value());
+      simShards = numArg(arg, value(), esl::SimContext::kMaxShards);
     } else if (arg == "--backend") {
       simBackend = value();
       if (simBackend != "compiled" && simBackend != "interpreted") {
@@ -169,9 +168,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--check") {
       doCheck = true;
     } else if (arg == "--workers") {
-      checkOptions.workers = static_cast<unsigned>(parseNum(arg, value()));
+      checkOptions.workers = static_cast<unsigned>(
+          numArg(arg, value(), std::numeric_limits<unsigned>::max()));
     } else if (arg == "--max-states") {
-      checkOptions.maxStates = parseNum(arg, value());
+      checkOptions.maxStates = numArg(arg, value());
     } else if (arg == "--emit") {
       emit = value();
     } else if (arg == "--out") {
