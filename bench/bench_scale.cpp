@@ -288,7 +288,8 @@ double monitorTier(bool quick, std::vector<Row>& rows,
 }
 
 /// CI gate (--check): packState bit-identity of the sharded cycle mode
-/// against the serial event kernel, per shard count, on a saturated netlist.
+/// against the serial event kernel, per shard count, on a saturated netlist
+/// (interpreted lowering on both sides; compiled x sharded is gated below).
 bool shardedIdentityCheck() {
   synth::SynthConfig cfg;
   cfg.topology = synth::Topology::kRandomDag;
@@ -296,13 +297,16 @@ bool shardedIdentityCheck() {
   cfg.seed = 5;
   cfg.injectPeriod = 1;
   synth::SynthSystem ref = synth::build(cfg);
-  sim::Simulator sref(ref.nl, {.checkProtocol = false});
+  sim::Simulator sref(ref.nl, {.checkProtocol = false,
+                               .backend = SimContext::Backend::kInterpreted});
   sref.run(400);
   const auto want = sref.ctx().packState();
   const auto received = ref.mainSink != nullptr ? ref.mainSink->received() : 0;
   for (const unsigned shards : {2u, 4u, 8u}) {
     synth::SynthSystem sys = synth::build(cfg);
-    sim::Simulator s(sys.nl, {.checkProtocol = false, .shards = shards});
+    sim::Simulator s(sys.nl, {.checkProtocol = false,
+                              .shards = shards,
+                              .backend = SimContext::Backend::kInterpreted});
     s.run(400);
     if (s.ctx().packState() != want ||
         (sys.mainSink != nullptr && sys.mainSink->received() != received)) {
@@ -331,7 +335,8 @@ bool compiledShardedIdentityCheck() {
   cfg.seed = 5;
   cfg.injectPeriod = 1;
   synth::SynthSystem ref = synth::build(cfg);
-  sim::Simulator sref(ref.nl, {.checkProtocol = false});
+  sim::Simulator sref(ref.nl, {.checkProtocol = false,
+                               .backend = SimContext::Backend::kInterpreted});
   sref.run(400);
   const auto want = sref.ctx().packState();
   const auto received = ref.mainSink != nullptr ? ref.mainSink->received() : 0;
@@ -367,7 +372,9 @@ bool compiledIdentityCheck() {
       cfg.seed = 5;
       cfg.injectPeriod = inject;
       synth::SynthSystem ref = synth::build(cfg);
-      sim::Simulator sref(ref.nl, {.checkProtocol = false});
+      sim::Simulator sref(ref.nl,
+                          {.checkProtocol = false,
+                           .backend = SimContext::Backend::kInterpreted});
       sref.run(400);
       const auto want = sref.ctx().packState();
       const auto received =

@@ -39,9 +39,10 @@ ROUND = 500
 # land while the step is in flight.
 HUGE = 500_000_000
 
-# (sid, design, client option words, one-shot CLI flags)
+# (sid, design, client option words, one-shot CLI flags). The reference
+# names its backend: the default is compiled.
 SESSIONS = [
-    ("a", "fig1a", "", []),
+    ("a", "fig1a", "interpreted", ["--backend", "interpreted"]),
     ("b", "fig1d", "compiled", ["--backend", "compiled"]),
     ("c", "secded-spec", "compiled shards 2",
      ["--backend", "compiled", "--shards", "2"]),

@@ -65,16 +65,17 @@ def shutdown_daemon(esl, sock, daemon, failures):
 
 
 def concurrency_phase(esl, tmp, clients, failures):
-    # (design, cycles, client option words, one-shot CLI flags)
+    # (design, cycles, client option words, one-shot CLI flags). Every
+    # session names its backend: the default is compiled.
     shapes = [
-        ("fig1a", 2000, "", []),
-        ("fig1b", 1500, "", []),
-        ("fig1c", 1200, "", []),
+        ("fig1a", 2000, "interpreted", ["--backend", "interpreted"]),
+        ("fig1b", 1500, "interpreted", ["--backend", "interpreted"]),
+        ("fig1c", 1200, "interpreted", ["--backend", "interpreted"]),
         ("fig1d", 2000, "compiled shards 2",
          ["--backend", "compiled", "--shards", "2"]),
-        ("table1", 1000, "", []),
+        ("table1", 1000, "interpreted", ["--backend", "interpreted"]),
         ("vlu-stall", 1500, "compiled", ["--backend", "compiled"]),
-        ("vlu-spec", 1500, "", []),
+        ("vlu-spec", 1500, "interpreted", ["--backend", "interpreted"]),
         ("secded-spec", 2000, "compiled shards 2", ["--backend", "compiled", "--shards", "2"]),
     ]
     sock = os.path.join(tmp, "serve-conc.sock")
@@ -139,16 +140,20 @@ def residency_phase(esl, tmp, failures):
         # carry across the spool or this diff catches it. Each step rides
         # its own client process: sessions are daemon state, not connection
         # state, and that persistence is part of what this phase checks.
-        sessions = [("a", "fig1a"), ("b", "fig1d"), ("c", "table1")]
-        opens = run_client(
-            esl, sock, "".join(f"open {sid} {d}\n" for sid, d in sessions))
+        # Both backend words go through the spool; "" is the default
+        # (compiled).
+        sessions = [("a", "fig1a", "interpreted"), ("b", "fig1d", ""),
+                    ("c", "table1", "interpreted")]
+        opens = run_client(esl, sock, "".join(
+            f"open {sid} {d} {words}\n" for sid, d, words in sessions))
         if opens.returncode != 0:
             failures.append(f"eviction opens: exit {opens.returncode}: "
                             f"{opens.stderr.decode()}")
         for round_ in (1, 2):
-            for sid, design in sessions:
+            for sid, design, words in sessions:
                 got = run_client(esl, sock, f"step {sid} 500\n")
-                want = one_shot(esl, design, 500 * round_, [])
+                flags = ["--backend", words] if words else []
+                want = one_shot(esl, design, 500 * round_, flags)
                 tag = f"eviction {sid} ({design}, touch {round_})"
                 if got.returncode != 0:
                     failures.append(
@@ -159,7 +164,7 @@ def residency_phase(esl, tmp, failures):
                         f"--- serve ---\n{got.stdout.decode()}"
                         f"--- cli ---\n{want.stdout.decode()}")
         closes = run_client(
-            esl, sock, "".join(f"close {sid}\n" for sid, _ in sessions))
+            esl, sock, "".join(f"close {sid}\n" for sid, _, _ in sessions))
         if closes.returncode != 0:
             failures.append(f"eviction closes: exit {closes.returncode}: "
                             f"{closes.stderr.decode()}")

@@ -138,18 +138,19 @@ bool bindKindConstants(Op& op, const std::vector<SlotAddr>& ports) {
 
 Program compileProgram(Netlist& nl, const SignalBoard& board,
                        const std::vector<std::uint32_t>& stateOff,
-                       const ShardPlan* plan) {
+                       SimContext::Backend backend, const ShardPlan* plan) {
   Program prog;
   prog.topologyVersion = nl.topologyVersion();
   prog.boardLayout = board.layoutGeneration();
-  prog.opOf.assign(nl.nodeCapacity(), Program::kNoOp);
-  const std::vector<NodeId> ids = nl.nodeIds();
-  prog.ops.reserve(ids.size());
+  prog.backend = backend;
+  prog.ops.resize(nl.nodeCapacity());
   const bool sharded = plan != nullptr && plan->shards > 1;
-  for (const NodeId id : ids) {
+  for (const NodeId id : nl.nodeIds()) {
     Node& node = nl.node(id);
-    Op op;
+    Op& op = prog.ops[id];
     op.node = &node;
+    // The unspecialized lowering: every op stays kGeneric.
+    if (backend == SimContext::Backend::kInterpreted) continue;
     op.stateOff = stateOff[id];
     op.nIn = static_cast<std::uint16_t>(node.numInputs());
     op.nOut = static_cast<std::uint16_t>(node.numOutputs());
@@ -180,8 +181,6 @@ Program compileProgram(Netlist& nl, const SignalBoard& board,
       op.code = OpCode::kGeneric;
       op.fnA = op.fnB = 0;
     }
-    prog.opOf[id] = static_cast<std::uint32_t>(prog.ops.size());
-    prog.ops.push_back(op);
   }
   return prog;
 }

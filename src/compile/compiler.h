@@ -1,14 +1,26 @@
-// Bytecode compiler for the compiled simulation backend.
+// Bytecode compiler: the one lowering both simulation backends run.
 //
-// compileProgram() lowers a netlist once into a flat program of per-node ops:
-// each op carries the node's kind (resolved to a specialized opcode by exact
-// type), the offset of the node's record in the SimContext's node-state
-// arena, the kind's per-evaluation constants, and a table of port addresses
-// resolved against the board's current layout. The opcode selects which
-// kind's comb/edge body the VM (src/compile/vm.h) runs over its raw accessor
-// policy — the same body the interpreter runs through the Sig proxies — so
-// the hot path has no virtual dispatch, no Sig proxies and no slot lookups,
-// only raw word loads/stores.
+// compileProgram() lowers a netlist once into a flat program of per-node ops,
+// indexed by NodeId: each op carries the node's kind (resolved to a
+// specialized opcode by exact type), the offset of the node's record in the
+// SimContext's node-state arena, the kind's per-evaluation constants, and a
+// table of port addresses resolved against the board's current layout. The
+// opcode selects which kind's comb/edge body the VM (src/compile/vm.h) runs
+// over its raw accessor policy — the same body the virtual evalComb/clockEdge
+// run through the Sig proxies — so a specialized op has no virtual dispatch,
+// no Sig proxies and no slot lookups, only raw word loads/stores.
+//
+// This is the one place the backend is decided. SimContext::Backend::
+// kInterpreted is the unspecialized lowering: every op is OpCode::kGeneric,
+// a virtual evalComb/clockEdge through the BoardIo policy. kCompiled
+// specializes every node it can; the rest stay kGeneric:
+//   * nodes whose exact type is not in the catalog (user subclasses);
+//   * nodes with unbound ports;
+//   * nodes whose record the ops cannot address word-per-payload (payloads
+//     wider than 64 bits, forks with more than 64 branches);
+//   * under sharding, nodes touching a boundary slot (kGeneric's BoardIo is
+//     staging-aware).
+// Either way the program is total over the netlist.
 //
 // The compiler decides no record sizes or offsets: each node kind declares
 // its record (Node::stateWords() and the kind's field layout) and the
@@ -19,28 +31,17 @@
 // step streams the op, its ports and its arena record from a couple of cache
 // lines instead of touching 5–8 scattered heap objects per active node.
 //
-// Nodes whose exact type is not in the catalog (user subclasses), nodes with
-// unbound ports, nodes whose record the ops cannot address word-per-payload
-// (payloads wider than 64 bits, forks with more than 64 branches), and —
-// under sharding — nodes touching a boundary slot compile to OpCode::kGeneric,
-// which falls back to the virtual evalComb/clockEdge (the BoardIo policy,
-// staging-aware): the program is always total over the netlist.
-//
-// A Program is valid for one (topologyVersion, board layoutGeneration) pair;
-// the VM recompiles whenever either moves. Topology changes (transformations,
-// splices) bump the former; shard-count changes permute the board WITHOUT a
-// topology bump, which only the latter catches.
+// A Program is valid for one (topologyVersion, board layoutGeneration,
+// backend) triple; the VM re-lowers whenever any of them moves. Topology
+// changes (transformations, splices) bump the first; shard-count changes
+// permute the board WITHOUT a topology bump, which only the second catches;
+// setBackend moves the third.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "elastic/signal_board.h"
-
-namespace esl {
-class Netlist;
-class Node;
-}  // namespace esl
+#include "elastic/context.h"
 
 namespace esl::compile {
 
@@ -92,7 +93,8 @@ enum class FuncKind : std::uint8_t {
   kPermille,  ///< out = hashChancePermille(in0, fnA, fnB)
 };
 
-/// One node lowered to an op. Ports live in Program::ports at [portBase,
+/// One node lowered to an op (a dead NodeId's op is a default, node-less
+/// kGeneric that no kernel dispatches). Ports live in Program::ports at [portBase,
 /// portBase + nIn + nOut): inputs first, then outputs. Sequential state lives
 /// in the context's node-state arena at stateOff (kNoState: the node keeps
 /// no arena record — kFunc/kShared, whose "state" is memos/a polymorphic
@@ -115,21 +117,21 @@ struct Op {
 };
 
 struct Program {
-  static constexpr std::uint32_t kNoOp = ~std::uint32_t{0};
-
-  std::vector<Op> ops;                ///< live nodes, insertion order
-  std::vector<std::uint32_t> opOf;    ///< NodeId -> ops index (kNoOp = dead id)
+  std::vector<Op> ops;                ///< indexed by NodeId
   std::vector<SlotAddr> ports;
   std::uint64_t topologyVersion = 0;  ///< netlist version compiled against
   std::uint64_t boardLayout = 0;      ///< board layoutGeneration compiled against
+  SimContext::Backend backend = SimContext::Backend::kCompiled;  ///< lowering mode
 };
 
-/// Lowers the netlist against the board's current layout. `stateOff` maps
-/// each NodeId to its node-state arena record (SimContext's layout, made with
-/// the same board layout). With a shard plan (shards > 1) nodes touching
-/// boundary slots stay generic.
+/// Lowers the netlist against the board's current layout for `backend`
+/// (kInterpreted: every op generic). `stateOff` maps each NodeId to its
+/// node-state arena record (SimContext's layout, made with the same board
+/// layout). With a shard plan (shards > 1) nodes touching boundary slots stay
+/// generic.
 Program compileProgram(Netlist& nl, const SignalBoard& board,
                        const std::vector<std::uint32_t>& stateOff,
+                       SimContext::Backend backend,
                        const ShardPlan* plan = nullptr);
 
 }  // namespace esl::compile

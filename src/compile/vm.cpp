@@ -156,19 +156,19 @@ std::uint64_t funcWord(const RawIo& io, const Op& op) {
 // --- lifecycle ---------------------------------------------------------------
 
 void Vm::ensureProgram() {
-  // A program is valid for one (topologyVersion, board layoutGeneration)
-  // pair: topology moves on splices/transformations, the layout moves on
-  // every board re-layout — including shard-count changes, which permute
-  // slots WITHOUT a topology bump. Reusing a program across either would
-  // store through stale raw offsets.
-  // The context lays out the node-state arena together with the board, so
-  // the same key covers the record offsets.
-  if (hasProgram_ && prog_.topologyVersion == ctx_.netlist_.topologyVersion() &&
-      prog_.boardLayout == ctx_.board_.layoutGeneration())
+  // A program is valid for one (topologyVersion, board layoutGeneration,
+  // backend) triple: splices move the first, every board re-layout the
+  // second (shard-count changes permute slots WITHOUT a topology bump) —
+  // reusing a program across either would store through stale raw offsets —
+  // and setBackend the third. The arena is laid out with the board, so the
+  // key covers the record offsets too. A default Program (boardLayout 0)
+  // matches no laid-out board.
+  if (prog_.topologyVersion == ctx_.netlist_.topologyVersion() &&
+      prog_.boardLayout == ctx_.board_.layoutGeneration() &&
+      prog_.backend == ctx_.backend_)
     return;
-  prog_ = compileProgram(ctx_.netlist_, ctx_.board_, ctx_.stateOff_,
+  prog_ = compileProgram(ctx_.netlist_, ctx_.board_, ctx_.stateOff_, ctx_.backend_,
                          ctx_.shards_ > 1 ? &ctx_.plan_ : nullptr);
-  hasProgram_ = true;
 }
 
 void Vm::bind() {
@@ -183,23 +183,30 @@ void Vm::prepare() {
   bind();
 }
 
+// A generic op costs what the virtual dispatch alone does: the op load, then
+// the virtual call, inline in the loop (no RawIo, no call into the switch).
+
 void Vm::settle() {
   prepare();
-  ctx_.settleWith([this](NodeId id) { evalNode(id); });
+  ctx_.settleWith([this](NodeId id) {
+    const Op& op = prog_.ops[id];
+    op.code == OpCode::kGeneric ? op.node->evalComb(ctx_) : evalNode(op);
+  });
 }
 
 void Vm::edge() {
   prepare();
-  ctx_.edgeWith([this](NodeId id) { edgeNode(id, true); });
+  ctx_.edgeWith([this](NodeId id) {
+    const Op& op = prog_.ops[id];
+    op.code == OpCode::kGeneric ? op.node->clockEdge(ctx_) : edgeNode(op, true);
+  });
 }
 
 bool Vm::hasSpecializedOpFor(NodeId id) const {
-  if (!hasProgram_ || id >= prog_.opOf.size()) return false;
-  const std::uint32_t idx = prog_.opOf[id];
-  return idx != Program::kNoOp && prog_.ops[idx].code != OpCode::kGeneric;
+  return id < prog_.ops.size() && prog_.ops[id].code != OpCode::kGeneric;
 }
 
-void Vm::edgeNodeForAudit(NodeId id) { edgeNode(id, false); }
+void Vm::edgeNodeForAudit(NodeId id) { edgeNode(prog_.ops[id], false); }
 
 // --- dispatch ----------------------------------------------------------------
 // Each opcode runs its kind's one comb/edge body (elastic/*.h) over RawIo,
@@ -208,8 +215,7 @@ void Vm::edgeNodeForAudit(NodeId id) { edgeNode(id, false); }
 // statistics that packState() excludes — serialized state always advances, so
 // replaying an edge from a rewound snapshot lands on the same bytes.
 
-void Vm::evalNode(NodeId id) {
-  const Op& op = prog_.ops[prog_.opOf[id]];
+void Vm::evalNode(const Op& op) {
   RawIo io(arenas_, op, prog_.ports.data() + op.portBase, ctx_);
   switch (op.code) {
     case OpCode::kEb:
@@ -264,8 +270,7 @@ void Vm::evalNode(NodeId id) {
   }
 }
 
-void Vm::edgeNode(NodeId id, bool applyStats) {
-  const Op& op = prog_.ops[prog_.opOf[id]];
+void Vm::edgeNode(const Op& op, bool applyStats) {
   RawIo io(arenas_, op, prog_.ports.data() + op.portBase, ctx_);
   switch (op.code) {
     case OpCode::kEb:

@@ -1,21 +1,24 @@
-// Bytecode VM for the compiled simulation backend.
+// Bytecode VM: the one per-node dispatcher of the event-driven kernel.
 //
 // Executes the Program produced by compile/compiler.h over the SimContext's
-// SignalBoard arena. The VM runs the context's one event-kernel loop per
-// phase verbatim — the settleWith and edgeWith templates, which serve every
-// shard count — swapping only the per-node dispatch: instead of
-// `nodePtr_[id]->evalComb(ctx)` it runs a specialized op over pre-resolved
-// word/bitplane addresses — the settle stays a bitmap worklist and the edge
-// stays a hot-group event scan, so cycles stay O(active) while per-node cost
-// drops to raw loads/stores.
+// SignalBoard arena, for both backends. The VM runs the context's one
+// event-kernel loop per phase verbatim — the settleWith and edgeWith
+// templates, which serve every shard count and are instantiated only here —
+// and supplies the per-node dispatch: a kGeneric op is one op load and the
+// virtual evalComb/clockEdge (BoardIo policy), a specialized op runs its
+// kind's body over pre-resolved word/bitplane addresses. The backend is only
+// the lowering mode: SimContext::Backend::kInterpreted lowers every node to
+// kGeneric, kCompiled specializes. The settle stays a bitmap worklist and the
+// edge stays a hot-group event scan, so cycles stay O(active) either way,
+// while a specialized op's per-node cost drops to raw loads/stores.
 //
 // --- Node state ----------------------------------------------------------------
 //
 // Per-node sequential state (EB rings, fork done bits, source cursors, VLU
 // operands, pending anti-token counters) lives in the SimContext's node-state
 // arena — one contiguous u64 array and the only copy of that state, shared
-// with the interpreted kernels, packState() and the audits. The VM owns no
-// node state: each op addresses its node's record through the precomputed
+// by both lowerings, packState() and the audits. The VM owns no node state:
+// each specialized op addresses its node's record through the precomputed
 // stateOff, so a settle step streams the op record, its port records and its
 // state record. Statistics (firings, transfer logs) stay on the node objects —
 // packState excludes them too.
@@ -34,23 +37,23 @@
 // and the bodies are inline templates that the compiler instantiates over
 // RawIo's word loads and stores — no virtual call, no slot lookup, no Sig
 // proxy. Settled fixpoints — and therefore packState() — are bit-identical
-// to the interpreted kernels; cross-check mode keeps the interpreted kernels
-// as the runtime oracle, and its edge audit replays each compiled op against
-// the interpreted clockEdge, i.e. checks that the two policies agree.
+// between the lowerings; cross-check mode keeps the sweep kernel as the
+// runtime settle oracle, and its edge audit replays each specialized op
+// against the virtual clockEdge, i.e. checks that the two policies agree.
 //
-// The program is recompiled whenever the netlist's topologyVersion OR the
-// board's layoutGeneration moves (a shard-count change permutes slots without
-// a topology bump); the context re-lays the state arena in the same step,
-// keeping every surviving node's record, so state survives netlist surgery
-// and re-layouts with nothing to copy back. Raw board and arena pointers are
-// re-fetched at every phase (bind()).
+// The program is re-lowered whenever the netlist's topologyVersion, the
+// board's layoutGeneration (a shard-count change permutes slots without a
+// topology bump) or the backend moves; the context re-lays the state arena
+// with the board, keeping every surviving node's record, so state survives
+// netlist surgery, re-layouts and backend switches with nothing to copy
+// back. Raw board and arena pointers are re-fetched at every phase (bind()).
 //
 // Sharded composition (shards > 1): the compiler keeps every boundary-
 // adjacent node generic (BoardIo's staging-aware Sig accessors), interior
 // specialized ops write owner-exclusive planes, and each shard's state
 // records start cache-line-aligned — so the staged boundary exchange of the
 // shared loop carries over unchanged and packState stays bit-identical to
-// the one-shard compiled cycle for every shard count.
+// the one-shard cycle for every shard count.
 #pragma once
 
 #include <cstdint>
@@ -77,18 +80,17 @@ class Vm {
  public:
   explicit Vm(SimContext& ctx) : ctx_(ctx) {}
 
-  /// Compiled settle: the context's event-driven settle loop over
-  /// specialized ops (level-synchronous rounds when the context is sharded).
+  /// The event-driven settle: the context's worklist loop over the program's
+  /// ops (level-synchronous rounds when the context is sharded).
   void settle();
-  /// Compiled clock edge: the context's dirty-tracked edge loop over
-  /// specialized ops.
+  /// The dirty-tracked clock edge: the context's edge loop over the ops.
   void edge();
 
   /// Refreshes the context's topology cache, then compiles (if the program
   /// is stale) and binds the raw pointers; settle() and edge() start with it.
   void prepare();
-  /// True when `id` lowered to a specialized op (generic fallbacks run the
-  /// same virtual code as the interpreted kernel, so audits skip them).
+  /// True when `id` lowered to a specialized op (generic ops run the virtual
+  /// clockEdge itself, so audits skip them; never true for kInterpreted).
   bool hasSpecializedOpFor(NodeId id) const;
   /// Replays one node's compiled clock edge on its (rewound) arena record
   /// without statistics side effects (the edge audit compares it with the
@@ -98,13 +100,12 @@ class Vm {
  private:
   void ensureProgram();
   void bind();
-  void evalNode(NodeId id);
-  void edgeNode(NodeId id, bool applyStats);
+  void evalNode(const Op& op);
+  void edgeNode(const Op& op, bool applyStats);
   std::uint64_t* state(const Op& op) const { return records_ + op.stateOff; }
 
   SimContext& ctx_;
   Program prog_;
-  bool hasProgram_ = false;
 
   // Raw board and node-state arena pointers, re-fetched by bind() before
   // every phase.

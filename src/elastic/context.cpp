@@ -22,9 +22,7 @@ void SimContext::reset() {
   cycle_ = 0;
   violations_.clear();
   retry_.clear();
-  ensureChoiceMap();
   hasFixedChoices_ = false;
-  std::fill(choiceKnown_.begin(), choiceKnown_.end(), 0);
   topologySeen_ = ~std::uint64_t{0};  // force cache + layout + full-seed refresh
   ensureTopologyCache();
   // The cache refresh re-laid the board through the value-preserving adopt
@@ -40,6 +38,10 @@ void SimContext::ensureTopologyCache() {
   seedNodes_.clear();
   cycleSeedNodes_.clear();
   choiceNodes_.clear();
+  // Choice slots follow the live nodes, so a node spliced in mid-run gets its
+  // own (the provider keys on (node, index), so no drawn value moves).
+  choiceOffset_.assign(netlist_.nodeCapacity(), 0);
+  totalChoices_ = 0;
   nodeUnaudited_.assign(netlist_.nodeCapacity(), 0);
   nodeStateDriven_.assign(netlist_.nodeCapacity(), 0);
   nodeEdgeOnEvents_.assign(netlist_.nodeCapacity(), 0);
@@ -59,10 +61,17 @@ void SimContext::ensureTopologyCache() {
     if (node.evalReadsPerCycleInputs() ||
         purity == Node::EvalPurity::kUnaudited)
       cycleSeedNodes_.push_back(id);
+    choiceOffset_[id] = totalChoices_;
+    totalChoices_ += node.choiceCount();
     if (node.choiceCount() > 0) choiceNodes_.push_back(id);
     if (node.edgeActivity() == Node::EdgeActivity::kOnEvents)
       nodeEdgeOnEvents_[id] = 1;
   }
+  choiceKnown_.assign((totalChoices_ + 63) / 64, 0);
+  choiceValue_.assign((totalChoices_ + 63) / 64, 0);
+  ESL_CHECK(!hasFixedChoices_ || fixedChoices_.size() == totalChoices_,
+            "setChoices: the netlist's choice bits changed under a fixed "
+            "assignment");
   liveChannels_ = netlist_.channelIds();
 
   // Shard plan: contiguous blocks of the live-node order, balanced by count.
@@ -192,20 +201,6 @@ Executor& SimContext::exec() {
   return *exec_;
 }
 
-void SimContext::ensureChoiceMap() {
-  choiceOffset_.clear();
-  totalChoices_ = 0;
-  const auto ids = netlist_.nodeIds();
-  const NodeId maxId = ids.empty() ? 0 : ids.back();
-  choiceOffset_.assign(maxId + 1, 0);
-  for (const NodeId id : ids) {
-    choiceOffset_[id] = totalChoices_;
-    totalChoices_ += netlist_.node(id).choiceCount();
-  }
-  choiceKnown_.assign((totalChoices_ + 63) / 64, 0);
-  choiceValue_.assign((totalChoices_ + 63) / 64, 0);
-}
-
 void SimContext::setChoices(std::vector<bool> bits) {
   ESL_CHECK(bits.size() == totalChoices_, "setChoices: wrong bit count");
   fixedChoices_ = std::move(bits);
@@ -279,10 +274,8 @@ void SimContext::settle() {
     settleCrossChecked();
   else if (kernel_ == SettleKernel::kSweep)
     settleSweep();
-  else if (backend_ == Backend::kCompiled)
-    vm().settle();
   else
-    settleWith([this](NodeId id) { nodePtr_[id]->evalComb(*this); });
+    vm().settle();
 }
 
 void SimContext::settleSweep() {
@@ -320,10 +313,7 @@ void SimContext::seedShards(std::uint64_t gen) {
 
 void SimContext::settleCrossChecked() {
   ccPre_.copyValuesFrom(board_);
-  if (backend_ == Backend::kCompiled)
-    vm().settle();
-  else
-    settleWith([this](NodeId id) { nodePtr_[id]->evalComb(*this); });
+  vm().settle();
   ccEvent_.copyValuesFrom(board_);
   board_.copyValuesFrom(ccPre_);
   settleSweep();
@@ -492,10 +482,8 @@ void SimContext::edge() {
     edgeAudited();
   else if (!edgeTrackValid_)
     edgeFull();
-  else if (backend_ == Backend::kCompiled)
-    vm().edge();
   else
-    edgeWith([this](NodeId id) { nodePtr_[id]->clockEdge(*this); });
+    vm().edge();
   edgeEpilogue();
 }
 
@@ -514,19 +502,18 @@ void SimContext::edgeAudited() {
   scanEventGroups(0, board_.groupCount(), [&](NodeId id) {
     if (id != kNoNode) nodeHasEvent[id] = 1;
   });
-  // Compiled backend: additionally audit every specialized clock-edge op
-  // against the interpreted clockEdge — run interpreted (statistics count
-  // once), rewind the node's serialized state, replay the compiled op with
-  // statistics suppressed, and require byte-identical packState().
-  const bool auditCompiled = backend_ == Backend::kCompiled;
-  if (auditCompiled) vm().prepare();
+  // Additionally audit every specialized clock-edge op (the interpreted
+  // lowering has none) against the virtual clockEdge — run the virtual one
+  // (statistics count once), rewind the node's serialized state, replay the
+  // op with statistics suppressed, and require byte-identical packState().
+  vm().prepare();
   for (Shard& sh : shardState_) sh.clocked.clear();
   for (const NodeId id : liveNodes_) {
     Node& node = netlist_.node(id);
     const bool wouldSkip = nodeEdgeOnEvents_[id] && !nodeHasEvent[id];
     if (!wouldSkip) {
       if (nodeStateful_[id]) shardState_[plan_.nodeShard[id]].clocked.push_back(id);
-      if (auditCompiled && vm().hasSpecializedOpFor(id)) {
+      if (vm().hasSpecializedOpFor(id)) {
         StateWriter w0;
         packNode(node, w0);
         const std::vector<std::uint8_t> s0 = w0.take();

@@ -110,10 +110,11 @@ class SimContext {
     kEventDriven,  ///< sparse worklist driven by signal-change events
   };
 
-  /// Execution backend for the event-driven cycle phases.
+  /// Lowering mode of the event-driven cycle phases' program (compile/).
   enum class Backend {
-    kInterpreted,  ///< virtual evalComb/clockEdge dispatch (default)
-    kCompiled,     ///< bytecode program over raw board offsets (compile/vm.h)
+    kInterpreted,  ///< unspecialized: every op a virtual evalComb/clockEdge
+    kCompiled,     ///< specialized ops over raw board offsets (compile/vm.h);
+                   ///< sim::SimOptions' and serve sessions' default
   };
 
   /// The netlist must outlive the context and is validated on construction.
@@ -153,20 +154,24 @@ class SimContext {
   static constexpr unsigned kMaxShards = 64;
   unsigned shards() const { return shards_; }
 
-  /// Selects the execution backend for the event-driven kernel. The compiled
-  /// backend lowers the netlist once into bytecode (recompiled whenever the
-  /// topology or the board layout moves) and runs settle/edge over raw board
-  /// offsets; settled signals and packState() are bit-identical to the
-  /// interpreted kernels. Both backends read and write the same node-state
-  /// arena (state()), so switching backends, kernels or shard counts at any
-  /// cycle boundary needs no state transfer. Applies when kernel() ==
-  /// kEventDriven (the sweep kernel stays interpreted — it is the reference
-  /// oracle) and composes with setShards: boundary-adjacent nodes fall back
-  /// to the staging-aware interpreted path, so the sharded compiled cycle
-  /// reaches the same fixpoint. With setCrossCheck(true) the compiled backend
-  /// is what the sweep audits.
+  /// Selects how the event-driven kernel's program is lowered. Both backends
+  /// run the one bytecode dispatcher (compile/vm.h) over the netlist lowered
+  /// once (again whenever the topology, the board layout or the backend
+  /// moves): kCompiled specializes each catalog node to raw board offsets,
+  /// kInterpreted keeps every node a virtual evalComb/clockEdge. Settled
+  /// signals and packState() are bit-identical, and both read and write the
+  /// same node-state arena (state()), so switching backends, kernels or
+  /// shard counts at any cycle boundary needs no state transfer. Applies
+  /// when kernel() == kEventDriven (the sweep kernel stays virtual — it is
+  /// the reference oracle) and composes with setShards: boundary-adjacent
+  /// nodes stay virtual (staging-aware), so the sharded cycle reaches the
+  /// same fixpoint. With setCrossCheck(true) the selected lowering is what
+  /// the sweep audits. A bare context starts kInterpreted.
   void setBackend(Backend backend) { backend_ = backend; }
   Backend backend() const { return backend_; }
+  /// The event kernel's per-node dispatcher (compile/vm.h), built on first
+  /// use; its program is the lowering of the last event-kernel phase.
+  compile::Vm& vm();
 
   /// External code that writes channel signals directly (outside evalComb)
   /// must call this before the next settle() so the event-driven kernel
@@ -285,7 +290,6 @@ class SimContext {
     std::vector<std::uint32_t> hotGroups;
   };
 
-  void ensureChoiceMap();
   void ensureTopologyCache();
   void resolveAllChoices();
   void rebuildHotGroups();
@@ -321,15 +325,14 @@ class SimContext {
   }
   void seedShards(std::uint64_t gen);
 
-  // --- backend-generic kernel loops ------------------------------------------
+  // --- the event-kernel loops --------------------------------------------------
   // One event-driven settle (settleWith) and one dirty-tracked edge
   // (edgeWith) serve every shard count — the serial cycle is the one-shard
-  // case — and both are templates over the per-node dispatch: the
-  // interpreted kernel passes virtual evalComb/clockEdge calls, the compiled
-  // VM (compile/vm.h, a friend) passes its specialized-op dispatch. Sharing
-  // the loops makes seeding, worklist order, change consumption and
-  // hot-group maintenance — and therefore the settled fixpoint and the set
-  // of clocked nodes — identical by construction across backends and shard
+  // case — and every backend: their one instantiation is the VM's
+  // (compile/vm.h, a friend), whose per-node dispatch runs either lowering of
+  // the program. Seeding, worklist order, change consumption and hot-group
+  // maintenance — and therefore the settled fixpoint and the set of clocked
+  // nodes — are identical by construction across backends and shard
   // counts.
 
   /// One shard's worklist drain (the body of settleWith). `eval(id)` must
@@ -558,8 +561,6 @@ class SimContext {
     }
   }
   Executor& exec();
-  /// Lazily constructed bytecode VM (compiled backend).
-  compile::Vm& vm();
 
   friend class compile::Vm;
 
@@ -610,7 +611,7 @@ class SimContext {
   std::vector<Shard> shardState_;
   std::unique_ptr<Executor> exec_;
 
-  // Compiled backend: bytecode VM over the board arena (compile/vm.h).
+  // Program lowering mode and the VM that runs it (compile/vm.h).
   Backend backend_ = Backend::kInterpreted;
   std::unique_ptr<compile::Vm> vm_;
 
@@ -626,7 +627,7 @@ class SimContext {
   std::uint64_t topologySeen_ = ~std::uint64_t{0};
   unsigned shardsSeen_ = 0;
   std::vector<NodeId> liveNodes_;
-  std::vector<Node*> nodePtr_;  ///< cached per-id pointers (hot dispatch)
+  std::vector<Node*> nodePtr_;  ///< cached per-id pointers
   /// Flattened channel→reader adjacency (CSR) with the board slot resolved at
   /// cache-build time: the drain loops walk one contiguous range per node.
   struct AdjEntry {

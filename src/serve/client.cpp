@@ -58,8 +58,9 @@ int connectTo(const std::string& socketPath, const Client::Options& options) {
 
 void setOptionFields(json::Value& head, const SimSession::Options& options) {
   const SimSession::Options defaults;
-  if (options.backend == SimContext::Backend::kCompiled)
-    head.set("backend", json::Value::str("compiled"));
+  // Always sent: the request then means the same whatever the default.
+  const bool compiled = options.backend == SimContext::Backend::kCompiled;
+  head.set("backend", json::Value::str(compiled ? "compiled" : "interpreted"));
   if (options.shards != defaults.shards)
     head.set("shards", json::Value::number(std::uint64_t{options.shards}));
   if (options.seed != defaults.seed)

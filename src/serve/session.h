@@ -33,8 +33,9 @@ namespace esl::serve {
 
 class SimSession {
  public:
+  /// Defaults (compiled, serial, monitored) are what a bare wire `open` gets.
   struct Options {
-    SimContext::Backend backend = SimContext::Backend::kInterpreted;
+    SimContext::Backend backend = SimContext::Backend::kCompiled;
     unsigned shards = 1;
     std::uint64_t seed = 0x5e1fULL;
     bool checkProtocol = true;

@@ -100,7 +100,7 @@ std::string Session::helpText() {
       "  speculate <mux> <func> [sched]   full speculation recipe\n"
       "  undo | redo               replay-based undo/redo of transformations\n"
       "  sim <cycles> [shards|compiled|interpreted|cross-check]\n"
-      "                            simulate; report sink transfers + violations\n"
+      "                            simulate (default compiled); sinks + violations\n"
       "  tput <cycles> <channel>   measured throughput on a channel\n"
       "  trace <cycles> <ch...>    Table-1 style trace of selected channels\n"
       "  timing                    cycle time + critical path\n"

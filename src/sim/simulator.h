@@ -39,11 +39,11 @@ struct SimOptions {
   /// Shard the netlist across N worker lanes per cycle (1 = serial). Settled
   /// signals and packed state are bit-identical for every value.
   unsigned shards = 1;
-  /// Simulation backend: the interpreted node kernels, or the compiled
-  /// bytecode VM (bit-identical, no virtual dispatch on the hot path).
-  /// Composes with shards > 1: interior nodes run specialized ops while
-  /// boundary-adjacent nodes take the staging-aware interpreted path.
-  SimContext::Backend backend = SimContext::Backend::kInterpreted;
+  /// Simulation backend (SimContext::setBackend): compiled by default, or
+  /// interpreted — every node a virtual call, bit-identical, the reference
+  /// the identity checks pin. Composes with shards > 1: interior nodes run
+  /// specialized ops, boundary-adjacent ones the staging-aware virtual path.
+  SimContext::Backend backend = SimContext::Backend::kCompiled;
 };
 
 struct ChannelStats {

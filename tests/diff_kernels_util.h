@@ -22,10 +22,12 @@
 
 namespace esl::test {
 
-/// The harnesses' options: SimOptions defaults, violations collected.
+/// The harnesses' options: SimOptions defaults, violations collected, on the
+/// interpreted reference backend (the compiled side sets its own).
 inline sim::SimOptions diffBaseOptions() {
   sim::SimOptions o;
   o.throwOnViolation = false;
+  o.backend = SimContext::Backend::kInterpreted;
   return o;
 }
 

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "compile/compiler.h"
+#include "compile/vm.h"
 #include "diff_kernels_util.h"
 #include "elastic/registry.h"
 #include "frontend/esl_format.h"
@@ -39,6 +40,7 @@ std::string goldenPath(const std::string& design) {
 sim::SimOptions interpOpts() {
   sim::SimOptions o;
   o.checkProtocol = false;
+  o.backend = SimContext::Backend::kInterpreted;
   return o;
 }
 
@@ -339,24 +341,46 @@ TEST(CompiledKernel, SpecializedFuncKernelsMatchOpaqueClosures) {
 }
 
 TEST(CompiledKernel, BackendSwitchMidRunPreservesSignals) {
-  // setBackend mid-simulation: the board is shared state, so flipping
-  // backends between cycles must not disturb the stream.
-  auto reference = [] {
-    synth::SynthSystem sys =
-        synth::build(famConfig(synth::Topology::kForkJoin, 80, 2, 9));
-    sim::Simulator s(sys.nl, interpOpts());
-    s.run(240);
-    return s.ctx().packState();
-  }();
-  synth::SynthSystem sys =
-      synth::build(famConfig(synth::Topology::kForkJoin, 80, 2, 9));
-  sim::Simulator s(sys.nl, interpOpts());
-  s.run(80);
-  s.ctx().setBackend(SimContext::Backend::kCompiled);
-  s.run(80);
-  s.ctx().setBackend(SimContext::Backend::kInterpreted);
-  s.run(80);
-  EXPECT_EQ(s.ctx().packState(), reference);
+  // setBackend mid-simulation: the board and the state arena are shared, and
+  // both backends are lowerings of one program that setBackend re-lowers at
+  // the next phase. Alternating every few cycles must match a fixed
+  // interpreted run cycle for cycle, and the op table must follow the mode
+  // (identity alone cannot show a stale lowering: both are bit-identical).
+  constexpr std::uint64_t kPeriod = 7;
+  for (const synth::Topology topo :
+       {synth::Topology::kPipeline, synth::Topology::kForkJoin,
+        synth::Topology::kSpecLadder, synth::Topology::kRandomDag}) {
+    for (const unsigned shards : {1u, 2u}) {
+      const synth::SynthConfig cfg = famConfig(topo, 160, 2, 13);
+      SCOPED_TRACE(synth::describe(cfg) + " shards=" + std::to_string(shards));
+      synth::SynthSystem fixed = synth::build(cfg);
+      synth::SynthSystem alt = synth::build(cfg);
+      sim::SimOptions opts = interpOpts();
+      opts.checkProtocol = true;
+      opts.throwOnViolation = false;
+      opts.shards = shards;
+      sim::Simulator sf(fixed.nl, opts);
+      sim::Simulator sa(alt.nl, opts);
+      const std::vector<NodeId> ids = alt.nl.nodeIds();
+      for (std::uint64_t c = 0; c < 20 * kPeriod; ++c) {
+        const bool compiled = (c / kPeriod) % 2 == 1;
+        sa.ctx().setBackend(compiled ? SimContext::Backend::kCompiled
+                                     : SimContext::Backend::kInterpreted);
+        sf.step();
+        sa.step();
+        ASSERT_EQ(sa.ctx().packState(), sf.ctx().packState()) << "cycle " << c;
+        ASSERT_EQ(sa.ctx().protocolViolations(), sf.ctx().protocolViolations())
+            << "cycle " << c;
+        std::size_t specialized = 0;
+        for (const NodeId id : ids)
+          specialized += sa.ctx().vm().hasSpecializedOpFor(id) ? 1 : 0;
+        if (compiled)
+          ASSERT_GT(specialized, 0u) << "cycle " << c;
+        else
+          ASSERT_EQ(specialized, 0u) << "cycle " << c;
+      }
+    }
+  }
 }
 
 /// Exact catalog type with every payload in one word: the nodes the compiler
@@ -391,8 +415,12 @@ TEST(CompiledKernel, EveryCatalogKindLowersToASpecializedOp) {
     const std::vector<std::uint32_t> stateOff(nl.nodeCapacity(), 0);
     SignalBoard serialBoard;
     serialBoard.layout(nl);
-    const compile::Program serial =
-        compile::compileProgram(nl, serialBoard, stateOff);
+    const compile::Program serial = compile::compileProgram(
+        nl, serialBoard, stateOff, SimContext::Backend::kCompiled);
+    // The interpreted backend is the unspecialized lowering of the same
+    // netlist: every live node is a generic op.
+    const compile::Program generic = compile::compileProgram(
+        nl, serialBoard, stateOff, SimContext::Backend::kInterpreted);
 
     const std::vector<NodeId> ids = nl.nodeIds();
     ShardPlan plan;
@@ -402,8 +430,8 @@ TEST(CompiledKernel, EveryCatalogKindLowersToASpecializedOp) {
       plan.nodeShard[ids[i]] = 1;
     SignalBoard shardedBoard;
     shardedBoard.layout(nl, &plan);
-    const compile::Program sharded =
-        compile::compileProgram(nl, shardedBoard, stateOff, &plan);
+    const compile::Program sharded = compile::compileProgram(
+        nl, shardedBoard, stateOff, SimContext::Backend::kCompiled, &plan);
 
     std::size_t boundaryNodes = 0;
     for (const NodeId id : ids) {
@@ -416,12 +444,13 @@ TEST(CompiledKernel, EveryCatalogKindLowersToASpecializedOp) {
         boundary = boundary ||
                    shardedBoard.inBoundary(shardedBoard.slotOf(node.output(o)));
       if (boundary) ++boundaryNodes;
+      EXPECT_EQ(generic.ops[id].code, compile::OpCode::kGeneric) << node.name();
+      EXPECT_EQ(generic.ops[id].node, &node) << node.name();
       if (!expectsSpecializedOp(node)) continue;
       kinds.insert(node.kindName());
       const std::string label = node.name() + " (" + node.kindName() + ")";
-      EXPECT_NE(serial.ops[serial.opOf[id]].code, compile::OpCode::kGeneric)
-          << label;
-      EXPECT_EQ(sharded.ops[sharded.opOf[id]].code == compile::OpCode::kGeneric,
+      EXPECT_NE(serial.ops[id].code, compile::OpCode::kGeneric) << label;
+      EXPECT_EQ(sharded.ops[id].code == compile::OpCode::kGeneric,
                 boundary)
           << label << (boundary ? " touches" : " does not touch")
           << " a boundary slot";

@@ -33,7 +33,11 @@
 namespace esl::serve {
 namespace {
 
-SimSession::Options interpreted() { return {}; }
+SimSession::Options interpreted() {
+  SimSession::Options opts;
+  opts.backend = SimContext::Backend::kInterpreted;
+  return opts;
+}
 
 SimSession::Options compiled(unsigned shards = 1) {
   SimSession::Options opts;
@@ -218,6 +222,62 @@ TEST(ServeSession, ChunkedStepsMatchOneShot) {
     EXPECT_EQ(oneShot->tputLine("pc.out"), chunked->tputLine("pc.out"));
     EXPECT_EQ(oneShot->snapshot(), chunked->snapshot());
   }
+}
+
+TEST(ServeSession, MidRunSpliceOfAChoiceNodeStepsOnEveryBackend) {
+  // `speculate ... bounded-fair` splices in a shared module whose scheduler
+  // draws choice bits. Mid-run, the new node must get choice slots: the
+  // choice map used to be built at reset only, and the next step threw
+  // vector::_M_range_check.
+  std::vector<std::string> reports;
+  std::vector<std::vector<std::uint8_t>> snaps;
+  for (const SimContext::Backend backend :
+       {SimContext::Backend::kInterpreted, SimContext::Backend::kCompiled}) {
+    for (const unsigned shards : {1u, 2u}) {
+      SimSession::Options opts;
+      opts.backend = backend;
+      opts.shards = shards;
+      auto s = makeSession("fig1a", opts);
+      s->step(5);
+      EXPECT_NE(s->command("speculate mux F bounded-fair")
+                    .find("speculation applied"),
+                std::string::npos);
+      ASSERT_NO_THROW(s->step(5));
+      s->step(300);
+      reports.push_back(s->report());
+      snaps.push_back(s->snapshot());
+    }
+  }
+  for (std::size_t i = 1; i < reports.size(); ++i) {
+    EXPECT_EQ(reports[i], reports[0]) << "config " << i;
+    EXPECT_EQ(snaps[i], snaps[0]) << "config " << i;
+  }
+}
+
+TEST(ServeSession, DefaultIsCompiledAndSpoolRecordsKeepTheirBackend) {
+  // The spool record's backend word (offset 8) is what restores: a record
+  // written by an interpreted session comes back interpreted whatever the
+  // default.
+  const auto backendWord = [](const std::vector<std::uint8_t>& rec) {
+    return static_cast<std::uint32_t>(rec[8]) |
+           static_cast<std::uint32_t>(rec[9]) << 8 |
+           static_cast<std::uint32_t>(rec[10]) << 16 |
+           static_cast<std::uint32_t>(rec[11]) << 24;
+  };
+  EXPECT_EQ(SimSession::Options{}.backend, SimContext::Backend::kCompiled);
+  auto byDefault = makeSession("fig1a");
+  byDefault->step(50);
+  EXPECT_EQ(backendWord(byDefault->spoolSave()), 1u);
+  auto interp = makeSession("fig1a", interpreted());
+  interp->step(50);
+  const std::vector<std::uint8_t> rec = interp->spoolSave();
+  EXPECT_EQ(backendWord(rec), 0u);
+  auto back = SimSession::spoolLoad(rec);
+  EXPECT_EQ(back->options().backend, SimContext::Backend::kInterpreted);
+  back->step(50);
+  byDefault->step(50);
+  EXPECT_EQ(back->report(), byDefault->report());
+  EXPECT_EQ(back->snapshot(), byDefault->snapshot());
 }
 
 TEST(ServeSession, ForbiddenVerbsAreRejected) {

@@ -91,7 +91,11 @@ TEST(FaultInject, DataKindsMutateTheBufferInPlace) {
 
 // --- Helpers -----------------------------------------------------------------
 
-SimSession::Options interpreted() { return {}; }
+SimSession::Options interpreted() {
+  SimSession::Options opts;
+  opts.backend = SimContext::Backend::kInterpreted;
+  return opts;
+}
 
 SimSession::Options compiled(unsigned shards = 1) {
   SimSession::Options opts;

@@ -4,7 +4,9 @@
 // across worker lanes: level-synchronous settle rounds with staged boundary
 // exchange, shard-parallel dirty-tracked clock edges. Its contract is strict:
 // settled signals and packed state are bit-identical to the serial
-// event-driven kernel for EVERY shard count — enforced here over all four
+// event-driven kernel for EVERY shard count. The interpreted lowering is the
+// reference here (every node takes the staging-aware virtual path; the
+// compiled×sharded seam has its own suite) — enforced over all four
 // synthetic topology families (with the diff_kernels_util shrink-on-failure
 // harness), the paper patterns, wide (spilled) payloads, and cross-check
 // mode, which under shards compares the sharded settle against the reference
@@ -15,7 +17,11 @@
 // edge marks and the executor handoff must all be clean under real threads.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
 #include "diff_kernels_util.h"
+#include "frontend/esl_format.h"
 #include "netlist/patterns.h"
 #include "test_util.h"
 
@@ -76,6 +82,71 @@ TEST(ShardedKernel, WidePayloadsSpillCleanly) {
   }
 }
 
+/// The committed corpus under examples/designs/large/: one design per synth
+/// family, large enough that 2 and 8 shards cut channels (the golden designs
+/// fit in one 64-node shard block). Each file is `# synth <describe>` plus
+/// printEsl(synth::spec(config)).
+std::vector<std::pair<std::string, synth::SynthConfig>> largeCorpus() {
+  const auto cfg = [](synth::Topology topo, unsigned inject, unsigned vlu) {
+    synth::SynthConfig c = famConfig(topo, 256, inject, 7);
+    c.vluPermille = vlu;
+    return c;
+  };
+  return {{"pipeline", cfg(synth::Topology::kPipeline, 2, 100)},
+          {"fork-join", cfg(synth::Topology::kForkJoin, 1, 0)},
+          {"spec-ladder", cfg(synth::Topology::kSpecLadder, 1, 0)},
+          {"random-dag", cfg(synth::Topology::kRandomDag, 2, 0)}};
+}
+
+std::string largeCorpusPath(const std::string& name) {
+  return std::string(ESL_SOURCE_DIR) + "/examples/designs/large/" + name + ".esl";
+}
+
+TEST(ShardedKernel, LargeCorpusFilesAreTheirSynthConfigs) {
+  for (const auto& [name, cfg] : largeCorpus()) {
+    std::ifstream in(largeCorpusPath(name));
+    ASSERT_TRUE(in) << name;
+    std::ostringstream text;
+    text << in.rdbuf();
+    EXPECT_EQ(text.str(), "# synth " + synth::describe(cfg) + "\n" +
+                              frontend::printEsl(synth::spec(cfg)))
+        << name << ": regenerate from its synth config";
+  }
+}
+
+TEST(ShardedKernel, LargeCorpusCrossesShardBoundaries) {
+  // Every corpus design has a non-empty boundary at 2 and 8 shards, and runs
+  // bit-identically on both backends at 1/2/8 shards.
+  for (const auto& [name, cfg] : largeCorpus()) {
+    SCOPED_TRACE(name);
+    Netlist probe = frontend::buildEslFile(largeCorpusPath(name));
+    EXPECT_GE(probe.nodeIds().size(), 200u);
+    SimContext ctx(probe);
+    for (const unsigned shards : {2u, 8u}) {
+      ctx.setShards(shards);
+      EXPECT_GT(ctx.board().boundarySlotCount(), 0u) << shards << " shards";
+    }
+    std::vector<std::uint8_t> ref;
+    for (const SimContext::Backend backend :
+         {SimContext::Backend::kInterpreted, SimContext::Backend::kCompiled}) {
+      for (const unsigned shards : kShardCounts) {
+        Netlist nl = frontend::buildEslFile(largeCorpusPath(name));
+        sim::SimOptions opts;
+        opts.throwOnViolation = false;
+        opts.backend = backend;
+        opts.shards = shards;
+        sim::Simulator s(nl, opts);
+        s.run(300);
+        EXPECT_TRUE(s.ctx().protocolViolations().empty());
+        if (ref.empty())
+          ref = s.ctx().packState();
+        else
+          EXPECT_EQ(s.ctx().packState(), ref) << shards << " shards";
+      }
+    }
+  }
+}
+
 TEST(ShardedKernel, NondetEnvironmentsDrawIdenticalChoices) {
   // The stateless (seed, cycle, node, index) choice provider is what makes
   // the sharded pre-resolution identical to the serial lazy resolution; run
@@ -85,6 +156,7 @@ TEST(ShardedKernel, NondetEnvironmentsDrawIdenticalChoices) {
     cfg.nondetEnv = true;
     synth::SynthSystem sys = synth::build(cfg);
     sim::SimOptions opts;
+    opts.backend = SimContext::Backend::kInterpreted;
     opts.checkProtocol = false;
     opts.seed = seed;
     opts.shards = shards;
@@ -109,6 +181,7 @@ TEST(ShardedKernel, PaperPatternsUnderCrossCheck) {
          {patterns::Fig1Variant::kNonSpeculative, patterns::Fig1Variant::kSpeculative}) {
       auto sys = patterns::buildFig1(variant);
       sim::SimOptions opts;
+      opts.backend = SimContext::Backend::kInterpreted;
       opts.checkProtocol = true;
       opts.throwOnViolation = false;
       opts.crossCheckKernels = true;
@@ -125,6 +198,7 @@ TEST(ShardedKernel, SecdedPipelineAcrossShardCounts) {
   auto run = [](unsigned shards) {
     auto sys = patterns::buildSecdedSpeculative();
     sim::SimOptions opts;
+    opts.backend = SimContext::Backend::kInterpreted;
     opts.checkProtocol = false;
     opts.shards = shards;
     sim::Simulator s(sys.nl, opts);
@@ -143,6 +217,7 @@ TEST(ShardedKernel, ShardCountChangeMidRunPreservesSignals) {
     synth::SynthSystem sys =
         synth::build(famConfig(synth::Topology::kPipeline, 80, 2, 5));
     sim::SimOptions opts;
+    opts.backend = SimContext::Backend::kInterpreted;
     opts.checkProtocol = false;
     sim::Simulator s(sys.nl, opts);
     s.run(240);
@@ -152,6 +227,7 @@ TEST(ShardedKernel, ShardCountChangeMidRunPreservesSignals) {
   synth::SynthSystem sys =
       synth::build(famConfig(synth::Topology::kPipeline, 80, 2, 5));
   sim::SimOptions opts;
+  opts.backend = SimContext::Backend::kInterpreted;
   opts.checkProtocol = false;
   sim::Simulator s(sys.nl, opts);
   s.run(80);
@@ -293,6 +369,7 @@ TEST(ShardedKernel, ShardedStatsMatchSerial) {
     synth::SynthSystem sys =
         synth::build(famConfig(synth::Topology::kForkJoin, 120, 2, 9));
     sim::SimOptions opts;
+    opts.backend = SimContext::Backend::kInterpreted;
     opts.checkProtocol = false;
     opts.shards = shards;
     sim::Simulator s(sys.nl, opts);

@@ -370,6 +370,7 @@ TEST(StateArena, RecompilesOnBoardRelayoutWithoutTopologyBump) {
   synth::SynthSystem comp = synth::build(cfg);
   sim::SimOptions interpOpts;
   interpOpts.checkProtocol = false;
+  interpOpts.backend = SimContext::Backend::kInterpreted;
   sim::Simulator si(interp.nl, interpOpts);
   sim::Simulator sc(comp.nl, compiledOpts());
   for (std::uint64_t c = 0; c < 180; ++c) {

@@ -51,8 +51,9 @@ int usage(const char* argv0) {
       << "  --sim N            simulate N cycles (sink transfers + violations)\n"
       << "  --shards N         with --sim: shard the netlist across N worker\n"
       << "                     lanes (bit-identical to serial for every N)\n"
-      << "  --backend B        with --sim: 'interpreted' (default) or\n"
-      << "                     'compiled' (bytecode VM, bit-identical)\n"
+      << "  --backend B        with --sim: 'compiled' (default, specialized\n"
+      << "                     ops) or 'interpreted' (virtual dispatch;\n"
+      << "                     bit-identical)\n"
       << "  --cross-check      with --sim: settle every cycle on both the\n"
       << "                     selected backend and the sweep oracle, and\n"
       << "                     audit every clock edge; throws on divergence\n"
@@ -255,7 +256,8 @@ int main(int argc, char** argv) {
       Netlist& nl = *session.netlist();
       sim::SimOptions opts{.checkProtocol = true, .throwOnViolation = false};
       opts.shards = static_cast<unsigned>(simShards);
-      if (simBackend == "compiled") opts.backend = SimContext::Backend::kCompiled;
+      if (simBackend == "interpreted")
+        opts.backend = SimContext::Backend::kInterpreted;
       opts.crossCheckKernels = doCrossCheck;
       sim::Simulator s(nl, opts);
       // readSnapshotFile rejects foreign magic / future versions cleanly.
