@@ -6,7 +6,9 @@
 // The simulation benchmarks take a kernel argument (0 = dense sweep,
 // 1 = event-driven worklist) so the speedup of the sparse kernel is tracked
 // per checkout; `cmake --build build --target bench` records the results as
-// machine-readable JSON in build/BENCH_sim.json.
+// machine-readable JSON in build/BENCH_sim.json. The simulation rows name the
+// interpreted backend (the lowering bench/BENCH_baseline.json was recorded
+// on), so the regression gate compares like with like.
 #include <benchmark/benchmark.h>
 
 #include "elastic/endpoints.h"
@@ -21,6 +23,8 @@ using namespace esl;
 
 namespace {
 
+constexpr SimContext::Backend kInterp = SimContext::Backend::kInterpreted;
+
 SimContext::SettleKernel kernelArg(const benchmark::State& state) {
   return state.range(0) == 0 ? SimContext::SettleKernel::kSweep
                              : SimContext::SettleKernel::kEventDriven;
@@ -28,7 +32,9 @@ SimContext::SettleKernel kernelArg(const benchmark::State& state) {
 
 void BM_SimulateFig1Speculative(benchmark::State& state) {
   auto sys = patterns::buildFig1(patterns::Fig1Variant::kSpeculative);
-  sim::Simulator s(sys.nl, {.checkProtocol = false, .kernel = kernelArg(state)});
+  sim::Simulator s(sys.nl, {.checkProtocol = false,
+                            .kernel = kernelArg(state),
+                            .backend = kInterp});
   for (auto _ : state) s.step();
   state.SetItemsProcessed(state.iterations());
 }
@@ -38,7 +44,8 @@ void BM_SimulateFig1WithProtocolMonitor(benchmark::State& state) {
   auto sys = patterns::buildFig1(patterns::Fig1Variant::kSpeculative);
   sim::Simulator s(sys.nl, {.checkProtocol = true,
                             .throwOnViolation = false,
-                            .kernel = kernelArg(state)});
+                            .kernel = kernelArg(state),
+                            .backend = kInterp});
   for (auto _ : state) s.step();
   state.SetItemsProcessed(state.iterations());
 }
@@ -46,7 +53,9 @@ BENCHMARK(BM_SimulateFig1WithProtocolMonitor)->ArgName("kernel")->Arg(0)->Arg(1)
 
 void BM_SimulateSecdedSpeculative(benchmark::State& state) {
   auto sys = patterns::buildSecdedSpeculative();
-  sim::Simulator s(sys.nl, {.checkProtocol = false, .kernel = kernelArg(state)});
+  sim::Simulator s(sys.nl, {.checkProtocol = false,
+                            .kernel = kernelArg(state),
+                            .backend = kInterp});
   for (auto _ : state) s.step();
   state.SetItemsProcessed(state.iterations());
 }
@@ -55,7 +64,9 @@ BENCHMARK(BM_SimulateSecdedSpeculative)->ArgName("kernel")->Arg(0)->Arg(1);
 void BM_SimulateKernelCrossCheck(benchmark::State& state) {
   // Both kernels every cycle + comparison: the cost ceiling of paranoia mode.
   auto sys = patterns::buildFig1(patterns::Fig1Variant::kSpeculative);
-  sim::Simulator s(sys.nl, {.checkProtocol = false, .crossCheckKernels = true});
+  sim::Simulator s(sys.nl, {.checkProtocol = false,
+                            .crossCheckKernels = true,
+                            .backend = kInterp});
   for (auto _ : state) s.step();
   state.SetItemsProcessed(state.iterations());
 }
@@ -73,7 +84,7 @@ void BM_SimFarmSchedulerSweep(benchmark::State& state) {
           inst.nl = std::move(sys.nl);
           inst.watch.emplace_back("loop", sys.loopChannel);
         },
-        {.checkProtocol = false});
+        {.checkProtocol = false, .backend = kInterp});
     for (std::uint64_t seed = 1; seed <= 16; ++seed)
       farm.add({.seed = seed, .cycles = 500, .config = 300});
     const auto results = farm.run(threads);

@@ -40,7 +40,7 @@ ROUND = 500
 HUGE = 500_000_000
 
 # (sid, design, client option words, one-shot CLI flags). The reference
-# names its backend: the default is compiled.
+# names its backend: a session and the one-shot CLI default differently.
 SESSIONS = [
     ("a", "fig1a", "interpreted", ["--backend", "interpreted"]),
     ("b", "fig1d", "compiled", ["--backend", "compiled"]),

@@ -66,7 +66,8 @@ def shutdown_daemon(esl, sock, daemon, failures):
 
 def concurrency_phase(esl, tmp, clients, failures):
     # (design, cycles, client option words, one-shot CLI flags). Every
-    # session names its backend: the default is compiled.
+    # session names its backend: a session and the one-shot CLI default
+    # differently.
     shapes = [
         ("fig1a", 2000, "interpreted", ["--backend", "interpreted"]),
         ("fig1b", 1500, "interpreted", ["--backend", "interpreted"]),
@@ -140,9 +141,8 @@ def residency_phase(esl, tmp, failures):
         # carry across the spool or this diff catches it. Each step rides
         # its own client process: sessions are daemon state, not connection
         # state, and that persistence is part of what this phase checks.
-        # Both backend words go through the spool; "" is the default
-        # (compiled).
-        sessions = [("a", "fig1a", "interpreted"), ("b", "fig1d", ""),
+        # Both backend words go through the spool.
+        sessions = [("a", "fig1a", "interpreted"), ("b", "fig1d", "compiled"),
                     ("c", "table1", "interpreted")]
         opens = run_client(esl, sock, "".join(
             f"open {sid} {d} {words}\n" for sid, d, words in sessions))
@@ -152,8 +152,8 @@ def residency_phase(esl, tmp, failures):
         for round_ in (1, 2):
             for sid, design, words in sessions:
                 got = run_client(esl, sock, f"step {sid} 500\n")
-                flags = ["--backend", words] if words else []
-                want = one_shot(esl, design, 500 * round_, flags)
+                want = one_shot(esl, design, 500 * round_,
+                                ["--backend", words])
                 tag = f"eviction {sid} ({design}, touch {round_})"
                 if got.returncode != 0:
                     failures.append(

@@ -138,11 +138,11 @@ bool bindKindConstants(Op& op, const std::vector<SlotAddr>& ports) {
 
 Program compileProgram(Netlist& nl, const SignalBoard& board,
                        const std::vector<std::uint32_t>& stateOff,
-                       SimContext::Backend backend, const ShardPlan* plan) {
+                       bool specialize, const ShardPlan* plan) {
   Program prog;
   prog.topologyVersion = nl.topologyVersion();
   prog.boardLayout = board.layoutGeneration();
-  prog.backend = backend;
+  prog.specialized = specialize;
   prog.ops.resize(nl.nodeCapacity());
   const bool sharded = plan != nullptr && plan->shards > 1;
   for (const NodeId id : nl.nodeIds()) {
@@ -150,7 +150,7 @@ Program compileProgram(Netlist& nl, const SignalBoard& board,
     Op& op = prog.ops[id];
     op.node = &node;
     // The unspecialized lowering: every op stays kGeneric.
-    if (backend == SimContext::Backend::kInterpreted) continue;
+    if (!specialize) continue;
     op.stateOff = stateOff[id];
     op.nIn = static_cast<std::uint16_t>(node.numInputs());
     op.nOut = static_cast<std::uint16_t>(node.numOutputs());

@@ -10,10 +10,11 @@
 // run through the Sig proxies — so a specialized op has no virtual dispatch,
 // no Sig proxies and no slot lookups, only raw word loads/stores.
 //
-// This is the one place the backend is decided. SimContext::Backend::
-// kInterpreted is the unspecialized lowering: every op is OpCode::kGeneric,
-// a virtual evalComb/clockEdge through the BoardIo policy. kCompiled
-// specializes every node it can; the rest stay kGeneric:
+// This is the one place the backend is decided, as the `specialize` flag.
+// Off (the interpreted backend) is the unspecialized lowering: every op is
+// OpCode::kGeneric, a virtual evalComb/clockEdge through the BoardIo policy.
+// On (the compiled backend) specializes every node it can; the rest stay
+// kGeneric:
 //   * nodes whose exact type is not in the catalog (user subclasses);
 //   * nodes with unbound ports;
 //   * nodes whose record the ops cannot address word-per-payload (payloads
@@ -32,16 +33,21 @@
 // lines instead of touching 5–8 scattered heap objects per active node.
 //
 // A Program is valid for one (topologyVersion, board layoutGeneration,
-// backend) triple; the VM re-lowers whenever any of them moves. Topology
+// specialized) triple; the VM re-lowers whenever any of them moves. Topology
 // changes (transformations, splices) bump the first; shard-count changes
 // permute the board WITHOUT a topology bump, which only the second catches;
-// setBackend moves the third.
+// SimContext::setBackend moves the third.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "elastic/context.h"
+#include "elastic/signal_board.h"
+
+namespace esl {
+class Netlist;
+class Node;
+}  // namespace esl
 
 namespace esl::compile {
 
@@ -121,17 +127,17 @@ struct Program {
   std::vector<SlotAddr> ports;
   std::uint64_t topologyVersion = 0;  ///< netlist version compiled against
   std::uint64_t boardLayout = 0;      ///< board layoutGeneration compiled against
-  SimContext::Backend backend = SimContext::Backend::kCompiled;  ///< lowering mode
+  bool specialized = false;           ///< lowering mode (false: all kGeneric)
 };
 
-/// Lowers the netlist against the board's current layout for `backend`
-/// (kInterpreted: every op generic). `stateOff` maps each NodeId to its
+/// Lowers the netlist against the board's current layout, specializing ops
+/// when `specialize` (the compiled backend; otherwise every op stays generic,
+/// the interpreted backend). `stateOff` maps each NodeId to its
 /// node-state arena record (SimContext's layout, made with the same board
 /// layout). With a shard plan (shards > 1) nodes touching boundary slots stay
 /// generic.
 Program compileProgram(Netlist& nl, const SignalBoard& board,
                        const std::vector<std::uint32_t>& stateOff,
-                       SimContext::Backend backend,
-                       const ShardPlan* plan = nullptr);
+                       bool specialize, const ShardPlan* plan = nullptr);
 
 }  // namespace esl::compile

@@ -157,17 +157,18 @@ std::uint64_t funcWord(const RawIo& io, const Op& op) {
 
 void Vm::ensureProgram() {
   // A program is valid for one (topologyVersion, board layoutGeneration,
-  // backend) triple: splices move the first, every board re-layout the
+  // specialized) triple: splices move the first, every board re-layout the
   // second (shard-count changes permute slots WITHOUT a topology bump) —
   // reusing a program across either would store through stale raw offsets —
   // and setBackend the third. The arena is laid out with the board, so the
   // key covers the record offsets too. A default Program (boardLayout 0)
   // matches no laid-out board.
+  const bool specialize = ctx_.backend_ == SimContext::Backend::kCompiled;
   if (prog_.topologyVersion == ctx_.netlist_.topologyVersion() &&
       prog_.boardLayout == ctx_.board_.layoutGeneration() &&
-      prog_.backend == ctx_.backend_)
+      prog_.specialized == specialize)
     return;
-  prog_ = compileProgram(ctx_.netlist_, ctx_.board_, ctx_.stateOff_, ctx_.backend_,
+  prog_ = compileProgram(ctx_.netlist_, ctx_.board_, ctx_.stateOff_, specialize,
                          ctx_.shards_ > 1 ? &ctx_.plan_ : nullptr);
 }
 
@@ -209,8 +210,9 @@ bool Vm::hasSpecializedOpFor(NodeId id) const {
 void Vm::edgeNodeForAudit(NodeId id) { edgeNode(prog_.ops[id], false); }
 
 // --- dispatch ----------------------------------------------------------------
-// Each opcode runs its kind's one comb/edge body (elastic/*.h) over RawIo,
-// with the per-kind constants the compiler stashed in fnA/fnB.
+// Each specialized opcode runs its kind's one comb/edge body (elastic/*.h)
+// over RawIo, with the per-kind constants the compiler stashed in fnA/fnB.
+// kGeneric never gets here: settle()/edge() make its virtual call.
 // `applyStats == false` (the edge audit's replay) suppresses only the
 // statistics that packState() excludes — serialized state always advances, so
 // replaying an edge from a rewound snapshot lands on the same bytes.
@@ -265,8 +267,7 @@ void Vm::evalNode(const Op& op) {
       StallingVLU::comb(io, state(op));
       break;
     case OpCode::kGeneric:
-      op.node->evalComb(ctx_);
-      break;
+      ESL_ASSERT(false);
   }
 }
 
@@ -311,8 +312,7 @@ void Vm::edgeNode(const Op& op, bool applyStats) {
       static_cast<StallingVLU*>(op.node)->edge(io, state(op), applyStats);
       break;
     case OpCode::kGeneric:
-      op.node->clockEdge(ctx_);
-      break;
+      ESL_ASSERT(false);
   }
 }
 

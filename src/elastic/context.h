@@ -113,9 +113,10 @@ class SimContext {
   /// Lowering mode of the event-driven cycle phases' program (compile/).
   enum class Backend {
     kInterpreted,  ///< unspecialized: every op a virtual evalComb/clockEdge
-    kCompiled,     ///< specialized ops over raw board offsets (compile/vm.h);
-                   ///< sim::SimOptions' and serve sessions' default
+    kCompiled,     ///< specialized ops over raw board offsets (compile/vm.h)
   };
+  /// What a context starts with and sim::SimOptions inherits.
+  static constexpr Backend kDefaultBackend = Backend::kCompiled;
 
   /// The netlist must outlive the context and is validated on construction.
   explicit SimContext(Netlist& netlist);
@@ -166,7 +167,7 @@ class SimContext {
   /// the reference oracle) and composes with setShards: boundary-adjacent
   /// nodes stay virtual (staging-aware), so the sharded cycle reaches the
   /// same fixpoint. With setCrossCheck(true) the selected lowering is what
-  /// the sweep audits. A bare context starts kInterpreted.
+  /// the sweep audits. A context starts on kDefaultBackend.
   void setBackend(Backend backend) { backend_ = backend; }
   Backend backend() const { return backend_; }
   /// The event kernel's per-node dispatcher (compile/vm.h), built on first
@@ -612,7 +613,7 @@ class SimContext {
   std::unique_ptr<Executor> exec_;
 
   // Program lowering mode and the VM that runs it (compile/vm.h).
-  Backend backend_ = Backend::kInterpreted;
+  Backend backend_ = kDefaultBackend;
   std::unique_ptr<compile::Vm> vm_;
 
   // Node-state arena: one u64 record per arena-backed node, in live-node

@@ -48,8 +48,8 @@ int clientUsage() {
       << "  --retries N        extra connect attempts with backoff\n"
       << "  --backoff MS       first retry delay, doubling (default: 100)\n"
       << "reads commands from script.txt (or stdin), one per line:\n"
-      << "  open SID DESIGN [interpreted] [shards N] [seed N] [no-check]\n"
-      << "  open-esl SID FILE.esl [interpreted] [shards N] [seed N] [no-check]\n"
+      << "  open SID DESIGN [compiled] [shards N] [seed N] [no-check]\n"
+      << "  open-esl SID FILE.esl [compiled] [shards N] [seed N] [no-check]\n"
       << "  cmd SID COMMAND...     run a shell command in the session\n"
       << "  step SID N             advance N cycles, print the run report\n"
       << "  sinks SID | tput SID CHANNEL | cycle SID\n"

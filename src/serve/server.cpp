@@ -32,10 +32,10 @@ SimSession::Options sessionOptions(const json::Value& head) {
   SimSession::Options opts;
   if (const json::Value* v = head.find("backend")) {
     const std::string& b = v->asString();
-    if (b == "interpreted")
-      opts.backend = SimContext::Backend::kInterpreted;
+    if (b == "compiled")
+      opts.backend = SimContext::Backend::kCompiled;
     else
-      ESL_CHECK(b == "compiled", "unknown backend '" + b + "'");
+      ESL_CHECK(b == "interpreted", "unknown backend '" + b + "'");
   }
   if (const json::Value* v = head.find("shards")) {
     const std::uint64_t shards = v->asU64();

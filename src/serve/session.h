@@ -33,9 +33,10 @@ namespace esl::serve {
 
 class SimSession {
  public:
-  /// Defaults (compiled, serial, monitored) are what a bare wire `open` gets.
+  /// Defaults: interpreted (perfbench's serve replay reference), serial,
+  /// monitored.
   struct Options {
-    SimContext::Backend backend = SimContext::Backend::kCompiled;
+    SimContext::Backend backend = SimContext::Backend::kInterpreted;
     unsigned shards = 1;
     std::uint64_t seed = 0x5e1fULL;
     bool checkProtocol = true;

@@ -39,11 +39,12 @@ struct SimOptions {
   /// Shard the netlist across N worker lanes per cycle (1 = serial). Settled
   /// signals and packed state are bit-identical for every value.
   unsigned shards = 1;
-  /// Simulation backend (SimContext::setBackend): compiled by default, or
-  /// interpreted — every node a virtual call, bit-identical, the reference
-  /// the identity checks pin. Composes with shards > 1: interior nodes run
-  /// specialized ops, boundary-adjacent ones the staging-aware virtual path.
-  SimContext::Backend backend = SimContext::Backend::kCompiled;
+  /// Simulation backend (SimContext::setBackend): the context's default
+  /// (compiled), or interpreted — every node a virtual call, bit-identical,
+  /// the reference the identity checks pin. Composes with shards > 1:
+  /// interior nodes run specialized ops, boundary-adjacent ones the
+  /// staging-aware virtual path.
+  SimContext::Backend backend = SimContext::kDefaultBackend;
 };
 
 struct ChannelStats {

@@ -416,11 +416,11 @@ TEST(CompiledKernel, EveryCatalogKindLowersToASpecializedOp) {
     SignalBoard serialBoard;
     serialBoard.layout(nl);
     const compile::Program serial = compile::compileProgram(
-        nl, serialBoard, stateOff, SimContext::Backend::kCompiled);
+        nl, serialBoard, stateOff, /*specialize=*/true);
     // The interpreted backend is the unspecialized lowering of the same
     // netlist: every live node is a generic op.
     const compile::Program generic = compile::compileProgram(
-        nl, serialBoard, stateOff, SimContext::Backend::kInterpreted);
+        nl, serialBoard, stateOff, /*specialize=*/false);
 
     const std::vector<NodeId> ids = nl.nodeIds();
     ShardPlan plan;
@@ -431,7 +431,7 @@ TEST(CompiledKernel, EveryCatalogKindLowersToASpecializedOp) {
     SignalBoard shardedBoard;
     shardedBoard.layout(nl, &plan);
     const compile::Program sharded = compile::compileProgram(
-        nl, shardedBoard, stateOff, SimContext::Backend::kCompiled, &plan);
+        nl, shardedBoard, stateOff, /*specialize=*/true, &plan);
 
     std::size_t boundaryNodes = 0;
     for (const NodeId id : ids) {

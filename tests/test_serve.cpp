@@ -254,9 +254,10 @@ TEST(ServeSession, MidRunSpliceOfAChoiceNodeStepsOnEveryBackend) {
   }
 }
 
-TEST(ServeSession, DefaultIsCompiledAndSpoolRecordsKeepTheirBackend) {
-  // The spool record's backend word (offset 8) is what restores: a record
-  // written by an interpreted session comes back interpreted whatever the
+TEST(ServeSession, DefaultIsInterpretedAndSpoolRecordsKeepTheirBackend) {
+  // Sessions default to the interpreted backend (not the context's compiled
+  // default). The spool record's backend word (offset 8) is what restores: a
+  // record written by a compiled session comes back compiled whatever the
   // default.
   const auto backendWord = [](const std::vector<std::uint8_t>& rec) {
     return static_cast<std::uint32_t>(rec[8]) |
@@ -264,16 +265,16 @@ TEST(ServeSession, DefaultIsCompiledAndSpoolRecordsKeepTheirBackend) {
            static_cast<std::uint32_t>(rec[10]) << 16 |
            static_cast<std::uint32_t>(rec[11]) << 24;
   };
-  EXPECT_EQ(SimSession::Options{}.backend, SimContext::Backend::kCompiled);
+  EXPECT_EQ(SimSession::Options{}.backend, SimContext::Backend::kInterpreted);
   auto byDefault = makeSession("fig1a");
   byDefault->step(50);
-  EXPECT_EQ(backendWord(byDefault->spoolSave()), 1u);
-  auto interp = makeSession("fig1a", interpreted());
-  interp->step(50);
-  const std::vector<std::uint8_t> rec = interp->spoolSave();
-  EXPECT_EQ(backendWord(rec), 0u);
+  EXPECT_EQ(backendWord(byDefault->spoolSave()), 0u);
+  auto comp = makeSession("fig1a", compiled());
+  comp->step(50);
+  const std::vector<std::uint8_t> rec = comp->spoolSave();
+  EXPECT_EQ(backendWord(rec), 1u);
   auto back = SimSession::spoolLoad(rec);
-  EXPECT_EQ(back->options().backend, SimContext::Backend::kInterpreted);
+  EXPECT_EQ(back->options().backend, SimContext::Backend::kCompiled);
   back->step(50);
   byDefault->step(50);
   EXPECT_EQ(back->report(), byDefault->report());

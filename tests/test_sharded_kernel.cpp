@@ -318,6 +318,7 @@ TEST(ShardedKernel, SettleErrorLeavesTheContextUsable) {
   // Reference: a fresh context settled under choice 0.
   OscillatorSystem ref;
   SimContext refCtx(ref.nl);
+  refCtx.setBackend(SimContext::Backend::kInterpreted);
   refCtx.setChoices({false});
   refCtx.settle();
 
